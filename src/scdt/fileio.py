@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -212,11 +213,9 @@ def read_transform_json(
     m = quantiles.size
     if m < 2:
         raise ParseError(f"{path}: need at least two quantile levels")
-    expected = (np.arange(m) + 0.5) / m
-    if np.max(np.abs(quantiles - expected)) > 1e-12:
+    cfg = TransformConfig(reference=reference_from_dict(obj.get("reference")), n_quantiles=m)
+    if np.max(np.abs(quantiles - cfg.quantiles)) > 1e-12:
         raise ParseError(f"{path}: quantile grid is not the midpoint grid")
-    reference = reference_from_dict(obj.get("reference"))
-    cfg = TransformConfig(reference=reference, n_quantiles=m)
     result = ScdtResult(
         _part_from_dict(obj.get("plus"), m, "plus"),
         _part_from_dict(obj.get("minus"), m, "minus"),
@@ -227,19 +226,17 @@ def read_transform_json(
 # --- experiment configuration ----------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     """A generation config plus the transform/classifier settings that ride
     along with it in experiment config files."""
 
-    def __init__(
-        self,
-        gen: GenConfig,
-        transform: TransformConfig,
-        lda_lambda: float = DEFAULT_LDA_LAMBDA,
-    ) -> None:
-        self.gen = gen
-        self.transform = transform
-        self.lda_lambda = float(lda_lambda)
+    gen: GenConfig
+    transform: TransformConfig
+    lda_lambda: float = DEFAULT_LDA_LAMBDA
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "lda_lambda", float(self.lda_lambda))
 
 
 _GEN_KEYS = {

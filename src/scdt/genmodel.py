@@ -41,7 +41,8 @@ __all__ = [
 @dataclass(frozen=True, eq=False)
 class IncreasingReparam:
     """A strictly increasing surjection of the real line with an exact
-    inverse, in one of four closed forms.
+    inverse, in one of three closed forms (a translation is the affine map
+    of slope 1).
 
     Use the classmethod constructors; ``forward`` realizes ``g`` and
     ``inverse`` realizes ``g^-1`` (which equals the monotone generalized
@@ -54,15 +55,15 @@ class IncreasingReparam:
     pwl: Optional[PiecewiseLinearMap] = None
     pwl_inverse: Optional[PiecewiseLinearMap] = None
 
-    _KINDS = ("translation", "dilation", "affine", "piecewise_linear")
+    _KINDS = ("dilation", "affine", "piecewise_linear")
 
     def __post_init__(self) -> None:
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown reparameterization kind {self.kind!r}")
         if self.kind in ("dilation", "affine") and not (np.isfinite(self.a) and self.a > 0):
             raise ValueError("slope must be finite and positive for a strictly increasing map")
-        if self.kind == "translation" and not np.isfinite(self.a):
-            raise ValueError("translation offset must be finite")
+        if self.kind == "affine" and not np.isfinite(self.b):
+            raise ValueError("offset must be finite")
         if self.kind == "piecewise_linear":
             if self.pwl is None or not np.all(self.pwl.slopes > 0):
                 raise ValueError(
@@ -72,7 +73,7 @@ class IncreasingReparam:
     @classmethod
     def translation(cls, a: float) -> "IncreasingReparam":
         """``g(x) = x - a``: the transformed measure's atoms move by ``+a``."""
-        return cls("translation", a=float(a))
+        return cls.affine(1.0, -float(a))
 
     @classmethod
     def dilation(cls, a: float) -> "IncreasingReparam":
@@ -93,8 +94,6 @@ class IncreasingReparam:
         return cls("piecewise_linear", pwl=fwd, pwl_inverse=inv)
 
     def forward(self, x: ArrayLike) -> Union[float, np.ndarray]:
-        if self.kind == "translation":
-            return np.asarray(x, dtype=float) - self.a if np.ndim(x) else float(x) - self.a
         if self.kind == "dilation":
             return np.asarray(x, dtype=float) / self.a if np.ndim(x) else float(x) / self.a
         if self.kind == "affine":
@@ -104,8 +103,6 @@ class IncreasingReparam:
         return self.pwl(x)
 
     def inverse(self, y: ArrayLike) -> Union[float, np.ndarray]:
-        if self.kind == "translation":
-            return np.asarray(y, dtype=float) + self.a if np.ndim(y) else float(y) + self.a
         if self.kind == "dilation":
             return self.a * np.asarray(y, dtype=float) if np.ndim(y) else self.a * float(y)
         if self.kind == "affine":

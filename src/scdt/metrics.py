@@ -16,8 +16,8 @@ from typing import Dict, Optional
 import numpy as np
 
 from .errors import MetricDomainError
-from .measures import DiscreteMeasure, SignedMeasure, measure_quantiles
-from .transform import PROBABILITY_RTOL, ScdtResult, TransformConfig
+from .measures import DiscreteMeasure, SignedMeasure
+from .transform import PROBABILITY_RTOL, ScdtResult, TransformConfig, cdt_positive
 
 __all__ = [
     "DistanceReport",
@@ -51,18 +51,19 @@ class DistanceReport:
         object.__setattr__(self, "value", value)
 
 
-def _midpoint_grid(n_quantiles: int) -> np.ndarray:
-    n = int(n_quantiles)
-    if n < 2:
-        raise ValueError("n_quantiles must be at least 2")
-    return (np.arange(n) + 0.5) / n
-
-
 def _require_finite_atoms(m: DiscreteMeasure, name: str) -> None:
     if not m.is_zero and not np.all(np.isfinite(m.locations)):
         raise MetricDomainError(
             f"{name} has atoms at +-inf; its second moment is infinite"
         )
+
+
+def _quantile_l2(nu: DiscreteMeasure, eta: DiscreteMeasure, n_quantiles: int) -> float:
+    """Root mean square gap between the two measures' transform samples on
+    the midpoint grid of ``n_quantiles`` levels."""
+    cfg = TransformConfig(n_quantiles=n_quantiles)
+    diff = cdt_positive(nu, cfg).samples - cdt_positive(eta, cfg).samples
+    return float(np.sqrt(np.mean(diff * diff)))
 
 
 def w2(nu: DiscreteMeasure, eta: DiscreteMeasure, n_quantiles: int = DEFAULT_N_QUANTILES) -> float:
@@ -74,9 +75,7 @@ def w2(nu: DiscreteMeasure, eta: DiscreteMeasure, n_quantiles: int = DEFAULT_N_Q
                 f"w2 requires probability measures; {name} has mass {m.total_mass}"
             )
         _require_finite_atoms(m, name)
-    q = _midpoint_grid(n_quantiles)
-    diff = measure_quantiles(nu, q) - measure_quantiles(eta, q)
-    return float(np.sqrt(np.mean(diff * diff)))
+    return _quantile_l2(nu, eta, n_quantiles)
 
 
 def d_w2(
@@ -85,22 +84,14 @@ def d_w2(
     """Distance between finite positive measures: the Wasserstein distance of
     the normalized shapes combined with the total-mass gap.
 
-    When exactly one argument is the zero measure the quantile term is the L2
-    norm of the other's normalized quantile function; between two zero
+    The zero measure's quantile samples are all zero (the transform's
+    convention), so when exactly one argument is zero the quantile term is the
+    L2 norm of the other's normalized quantile function; between two zero
     measures the distance is 0.
     """
     _require_finite_atoms(nu, "first argument")
     _require_finite_atoms(eta, "second argument")
-    q = _midpoint_grid(n_quantiles)
-    if nu.is_zero and eta.is_zero:
-        quantile_term = 0.0
-    elif nu.is_zero or eta.is_zero:
-        other = eta if nu.is_zero else nu
-        samples = measure_quantiles(other, q)
-        quantile_term = float(np.sqrt(np.mean(samples * samples)))
-    else:
-        diff = measure_quantiles(nu, q) - measure_quantiles(eta, q)
-        quantile_term = float(np.sqrt(np.mean(diff * diff)))
+    quantile_term = _quantile_l2(nu, eta, n_quantiles)
     mass_term = abs(nu.total_mass - eta.total_mass)
     return DistanceReport(
         value=math.hypot(quantile_term, mass_term),

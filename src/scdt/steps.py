@@ -37,6 +37,20 @@ def _as_float_array(x: ArrayLike, name: str) -> np.ndarray:
     return arr
 
 
+def _geninv_search(values: np.ndarray, breakpoints: np.ndarray, y: ArrayLike) -> np.ndarray:
+    """``inf{x : F(x) > y}`` for the non-decreasing step function taking
+    ``values[0]`` left of ``breakpoints[0]`` and ``values[i]`` from
+    ``breakpoints[i-1]`` on: the first value strictly above ``y`` is taken
+    from the preceding breakpoint, ``-inf`` before the first and ``+inf``
+    when no value exceeds ``y``.
+
+    The one generalized-inverse search of the package, shared by
+    :meth:`StepFunction.geninv_eval` and quantile sampling of measures.
+    """
+    j = np.searchsorted(values, y, side="right")
+    return np.concatenate(([NEG_INF], breakpoints, [POS_INF]))[j]
+
+
 @dataclass(frozen=True, eq=False)
 class StepFunction:
     """A right-continuous step function on ``[-inf, +inf]``.
@@ -113,12 +127,7 @@ class StepFunction:
         set``) and ``-inf`` when it is the whole line.
         """
         self._require_monotone()
-        ya = _as_float_array(y, "y")
-        # First value index strictly above y; the region where that value is
-        # taken starts at the preceding breakpoint.
-        j = np.searchsorted(self.values, ya, side="right")
-        targets = np.concatenate(([NEG_INF], self.breakpoints, [POS_INF]))
-        out = targets[j]
+        out = _geninv_search(self.values, self.breakpoints, _as_float_array(y, "y"))
         if np.ndim(y) == 0:
             return float(out)
         return out

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SingularityError, SingularityWarning
+from .errors import SingularityWarning
 from .measures import (
     DiscreteMeasure,
     ReferenceMeasure,
@@ -169,27 +169,19 @@ def scdt_inverse(t: ScdtResult, cfg: TransformConfig) -> SignedMeasure:
 
     The two reconstructed parts must have disjoint supports (mutual
     singularity); an exact support collision raises
-    :class:`SingularityError`, and distinct supports closer than
-    ``1e-9`` emit a :class:`SingularityWarning`.
+    :class:`SingularityError` (from :class:`SignedMeasure`), and distinct
+    supports closer than ``1e-9`` emit a :class:`SingularityWarning`.
     """
-    plus = cdt_inverse(t.plus, cfg)
-    minus = cdt_inverse(t.minus, cfg)
-    if not plus.is_zero and not minus.is_zero:
-        overlap = np.intersect1d(plus.locations, minus.locations)
-        if overlap.size:
-            raise SingularityError(
-                f"inverse parts collide at {overlap.size} location(s), e.g. "
-                f"{overlap[0]}; the tuple does not describe a signed measure"
-            )
-        gap = _min_gap(plus.locations, minus.locations)
-        if gap < COLLISION_WARN_GAP:
-            warnings.warn(
-                f"positive and negative supports are only {gap:.3g} apart; "
-                "mutual singularity is numerically borderline",
-                SingularityWarning,
-                stacklevel=2,
-            )
-    return SignedMeasure(plus, minus)
+    s = SignedMeasure(cdt_inverse(t.plus, cfg), cdt_inverse(t.minus, cfg))
+    gap = _min_gap(s.positive_part.locations, s.negative_part.locations)
+    if gap < COLLISION_WARN_GAP:
+        warnings.warn(
+            f"positive and negative supports are only {gap:.3g} apart; "
+            "mutual singularity is numerically borderline",
+            SingularityWarning,
+            stacklevel=2,
+        )
+    return s
 
 
 def _min_gap(a: np.ndarray, b: np.ndarray) -> float:

@@ -61,10 +61,24 @@ class TestIncreasingReparam:
             IncreasingReparam.dilation(-2.0)
         with pytest.raises(ValueError):
             IncreasingReparam.affine(0.0, 1.0)
-        with pytest.raises(ValueError):
-            IncreasingReparam.translation(float("inf"))
+        for offset in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError):
+                IncreasingReparam.affine(1.0, offset)
+            with pytest.raises(ValueError):
+                IncreasingReparam.translation(offset)
         with pytest.raises(ValueError):
             IncreasingReparam.piecewise_linear([0.0, 1.0, 2.0], [0.0, 0.0, 1.0])
+
+    @given(
+        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+        st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), max_size=20),
+    )
+    def test_translation_is_exact_shift(self, a, xs):
+        g = IncreasingReparam.translation(a)
+        arr = np.array(xs)
+        assert np.array_equal(g(arr), arr - a) and np.array_equal(g.inverse(arr), arr + a)
+        for x in xs:
+            assert g(x) == x - a and g.inverse(x) == x + a
 
     def test_call_is_forward(self):
         g = IncreasingReparam.affine(2.0, 1.0)

@@ -340,6 +340,13 @@ class TestPushforward:
         m = pushforward(np.sort(np.array(samples)), mass)
         assert m.total_mass == mass
 
+    def test_many_distinct_samples_accept_their_mass(self):
+        # 99,991 weights of mass / 99,991 sum sequentially to a value off by
+        # more than 1e-12 relative; the stored mass must still be accepted.
+        m = pushforward(np.arange(99991) / 99991, 0.8924182013739745)
+        assert m.total_mass == 0.8924182013739745
+        assert m.weights.size == 99991
+
 
 class TestRebin:
     def test_delta_at_bin_center_gives_spike(self):
@@ -404,6 +411,32 @@ class TestMeasureQuantiles:
         out = measure_quantiles(m, np.array(qs))
         for q, v in zip(qs, out):
             assert v == quantile_scan(m.locations, m.weights, q)
+
+    @given(
+        st.lists(
+            st.floats(min_value=-100.0, max_value=100.0, allow_nan=False),
+            max_size=8,
+            unique=True,
+        ),
+        st.sampled_from([(NEG_INF,), (POS_INF,), (NEG_INF, POS_INF)]),
+        st.data(),
+    )
+    def test_infinite_atoms_match_cdf_generalized_inverse(self, finite, ends, data):
+        locs = np.sort(np.concatenate((finite, ends)))
+        weights = data.draw(
+            st.lists(
+                st.floats(min_value=1e-3, max_value=10.0, allow_nan=False),
+                min_size=locs.size,
+                max_size=locs.size,
+            )
+        )
+        m = DiscreteMeasure(locs, np.asarray(weights))
+        random_levels = data.draw(
+            st.lists(st.floats(min_value=0.0, max_value=1.0, allow_nan=False), max_size=20)
+        )
+        q = np.array([0.0, 1.0, np.nextafter(1.0, 0.0), *random_levels])
+        expected = np.minimum(cdf(m).geninv_eval(q * m.total_mass), m.locations[-1])
+        assert np.array_equal(measure_quantiles(m, q), expected)
 
     @given(discrete_measures(max_atoms=12))
     def test_non_decreasing_on_sorted_levels(self, m):
