@@ -6,6 +6,8 @@ Each checkout's ``src`` is imported in its own interpreter, which dumps:
 
 - ``run_experiment`` on seeds 0-4 and 97: accuracies, confusion matrices and
   2-D projections in both feature spaces;
+- ``generate_dataset`` labels and samples on the same seeds, and the three
+  class templates on the default grid;
 - ``scdt_forward`` samples and masses, ``rebin(scdt_inverse(...))`` and
   ``d_s`` values and components on 4e5-bin signed and nonnegative densities
   at M = 2^17;
@@ -67,6 +69,15 @@ def dump():
             rep.confusion_signal, rep.confusion_scdt,
             rep.projections_signal, rep.projections_scdt,
         )
+
+    gen = scdt.GenConfig()
+    grid = scdt.GridDensity(gen.t0, gen.t1, np.zeros(gen.n_grid)).bin_centers()
+    for template in scdt.TEMPLATES:
+        out[f"template/{template.name}"] = template(grid)
+    for seed in SEEDS:
+        signals = scdt.generate_dataset(scdt.GenConfig(seed=seed))
+        out[f"dataset/{seed}"] = (np.array([label for label, _ in signals]),
+                                  np.stack([d.samples for _, d in signals]))
 
     cfg = scdt.TransformConfig(n_quantiles=LARGE_M)
     measures = []

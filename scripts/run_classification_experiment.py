@@ -16,12 +16,13 @@ import numpy as np
 
 from scdt import GenConfig, TransformConfig, run_experiment
 from scdt.classify import DEFAULT_LDA_LAMBDA
+from scdt.transform import DEFAULT_N_QUANTILES
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", default="0,1,2,3,4", help="comma-separated seeds")
-    parser.add_argument("--quantiles", type=int, default=1024)
+    parser.add_argument("--quantiles", type=int, default=DEFAULT_N_QUANTILES)
     parser.add_argument("--noise-sigma", type=float, default=0.02)
     parser.add_argument("--lda-lambda", type=float, default=DEFAULT_LDA_LAMBDA)
     parser.add_argument("--report", help="optional JSON file for the summary")

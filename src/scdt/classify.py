@@ -127,11 +127,13 @@ def fit_lda(train: FeatureMatrix, lda_lambda: float = DEFAULT_LDA_LAMBDA) -> Lda
     mu = X.mean(axis=0)
     scatter = np.zeros((p, p))
     between = np.empty((p, classes.size))
+    class_means = np.empty((classes.size, p))
     for k, c in enumerate(classes):
         Xc = X[y == c]
         if Xc.shape[0] < 2:
             raise ValueError("need at least two samples per class")
         mc = Xc.mean(axis=0)
+        class_means[k] = mc
         centered = Xc - mc
         scatter += centered.T @ centered
         between[:, k] = np.sqrt(Xc.shape[0]) * (mc - mu)
@@ -155,7 +157,6 @@ def fit_lda(train: FeatureMatrix, lda_lambda: float = DEFAULT_LDA_LAMBDA) -> Lda
         projection = (solved @ eigvecs[:, order]) / np.sqrt(eigvals[order])
     else:
         projection = np.zeros((p, 0))
-    class_means = np.stack([X[y == c].mean(axis=0) for c in classes])
     return LdaModel(
         projection=projection,
         class_means_projected=class_means @ projection,

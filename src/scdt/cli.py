@@ -7,8 +7,9 @@ between two signals), ``generate`` (write a synthetic labeled dataset), and
 plus plot data).
 
 Exit codes: 0 success; 2 parse/configuration error; 3 invalid reference
-measure; 4 singularity or grid-range violation on inversion; 5 metric domain
-violation.  Diagnostics go to stderr; stdout carries only requested values.
+measure; 4 singularity or grid-range violation on inversion, or density atoms
+that floating point cannot hold; 5 metric domain violation.  Diagnostics go to
+stderr; stdout carries only requested values.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ import dataclasses
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import Any, Dict, List, Optional, Union
 
-from .classify import run_experiment
+from .classify import DEFAULT_LDA_LAMBDA, run_experiment
 from .errors import (
     InvalidReferenceError,
     MetricDomainError,
@@ -30,26 +31,106 @@ from .errors import (
     SingularityError,
 )
 from .fileio import (
+    _decode_array,
+    _decode_float,
     parse_reference,
-    read_experiment_config,
     read_signal_csv,
     read_transform_json,
-    seed_override_from_env,
+    reference_from_dict,
     write_signal_csv,
     write_transform_json,
 )
-from .genmodel import generate_dataset
-from .measures import measure_from_density, rebin
+from .genmodel import GenConfig, generate_dataset
+from .measures import ReferenceMeasure, measure_from_density, rebin
 from .metrics import d_s, d_w2, w2
-from .transform import TransformConfig, scdt_forward, scdt_inverse
+from .transform import DEFAULT_N_QUANTILES, TransformConfig, scdt_forward, scdt_inverse
 
-__all__ = ["main"]
+__all__ = ["main", "read_experiment_config", "ExperimentConfig", "seed_override_from_env"]
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_REFERENCE = 3
 EXIT_SINGULARITY = 4
 EXIT_METRIC = 5
+
+
+# --- experiment configuration ----------------------------------------------
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class ExperimentConfig:
+    """A generation config plus the transform/classifier settings that ride
+    along with it in experiment config files."""
+
+    gen: GenConfig
+    transform: TransformConfig
+    lda_lambda: float = DEFAULT_LDA_LAMBDA
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "lda_lambda", float(self.lda_lambda))
+
+
+_GEN_KEYS = {"t0", "t1", "n_grid", "a_range", "b_range", "noise_sigma", "per_class", "seed"}
+_EXTRA_KEYS = {"n_quantiles", "reference", "lda_lambda"}
+
+
+def read_experiment_config(path: Union[str, os.PathLike]) -> ExperimentConfig:
+    """Read a JSON experiment config; every key is optional and defaults to
+    the standard protocol.  Unknown keys are rejected."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ParseError(f"{path}: expected a JSON object")
+    unknown = set(obj) - _GEN_KEYS - _EXTRA_KEYS
+    if unknown:
+        raise ParseError(f"{path}: unknown keys {sorted(unknown)}")
+    gen_kwargs: Dict[str, Any] = {}
+    for key in _GEN_KEYS & set(obj):
+        value = obj[key]
+        if key in ("a_range", "b_range"):
+            arr = _decode_array(value, key)
+            if arr.size != 2:
+                raise ParseError(f"{path}: {key} must be a two-entry array")
+            value = (float(arr[0]), float(arr[1]))
+        elif key == "per_class" and isinstance(value, list):
+            value = tuple(value)
+        gen_kwargs[key] = value
+    try:
+        gen = GenConfig(**gen_kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    reference = (
+        parse_reference(obj["reference"])
+        if isinstance(obj.get("reference"), str)
+        else reference_from_dict(obj["reference"])
+        if "reference" in obj
+        else ReferenceMeasure.uniform()
+    )
+    try:
+        transform = TransformConfig(
+            reference=reference, n_quantiles=int(obj.get("n_quantiles", DEFAULT_N_QUANTILES))
+        )
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    lda_lambda = _decode_float(obj.get("lda_lambda", DEFAULT_LDA_LAMBDA), "lda_lambda")
+    return ExperimentConfig(gen, transform, lda_lambda)
+
+
+def seed_override_from_env(env: Optional[Dict[str, str]] = None) -> Optional[int]:
+    """The SCDT_SEED environment override, if set (empty string means unset)."""
+    env = os.environ if env is None else env
+    raw = env.get("SCDT_SEED", "")
+    if raw == "":
+        return None
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise ParseError(f"SCDT_SEED must be an integer, got {raw!r}") from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -67,7 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="uniform:0,1",
         help="reference measure: uniform:a,b or pwl:x0,y0;x1,y1;... (default uniform:0,1)",
     )
-    p.add_argument("--quantiles", type=int, default=1024, help="quantile grid size")
+    p.add_argument("--quantiles", type=int, default=DEFAULT_N_QUANTILES, help="quantile grid size")
 
     p = sub.add_parser("inverse", help="invert a transform JSON back to a signal CSV")
     p.add_argument("--input", required=True, help="transform JSON")
@@ -78,7 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True, help="first signal CSV")
     p.add_argument("--b", required=True, help="second signal CSV")
     p.add_argument("--metric", choices=("w2", "dw2", "ds"), default="ds")
-    p.add_argument("--quantiles", type=int, default=1024)
+    p.add_argument("--quantiles", type=int, default=DEFAULT_N_QUANTILES)
 
     p = sub.add_parser("generate", help="write a synthetic labeled dataset")
     p.add_argument("--config", required=True, help="experiment config JSON")
@@ -191,9 +272,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except InvalidReferenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REFERENCE

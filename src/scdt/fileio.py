@@ -1,5 +1,4 @@
-"""File formats: signal CSV, transform JSON, reference specs, experiment
-configs.
+"""File formats: signal CSV, transform JSON, reference specs.
 
 Floats are serialized with Python's shortest round-trip representation, so
 parse(serialize(x)) recovers x bit for bit; infinities are written as the
@@ -11,14 +10,11 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Tuple, Union
 
 import numpy as np
 
-from .classify import DEFAULT_LDA_LAMBDA
 from .errors import InvalidReferenceError, ParseError
-from .genmodel import GenConfig
 from .measures import GridDensity, ReferenceMeasure
 from .transform import CdtResult, ScdtResult, TransformConfig
 
@@ -30,9 +26,6 @@ __all__ = [
     "parse_reference",
     "reference_to_dict",
     "reference_from_dict",
-    "read_experiment_config",
-    "ExperimentConfig",
-    "seed_override_from_env",
 ]
 
 #: Relative tolerance on uniform time spacing in signal files.
@@ -221,92 +214,3 @@ def read_transform_json(
         _part_from_dict(obj.get("minus"), m, "minus"),
     )
     return result, cfg
-
-
-# --- experiment configuration ----------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class ExperimentConfig:
-    """A generation config plus the transform/classifier settings that ride
-    along with it in experiment config files."""
-
-    gen: GenConfig
-    transform: TransformConfig
-    lda_lambda: float = DEFAULT_LDA_LAMBDA
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lda_lambda", float(self.lda_lambda))
-
-
-_GEN_KEYS = {
-    "t0",
-    "t1",
-    "n_grid",
-    "a_range",
-    "b_range",
-    "noise_sigma",
-    "per_class",
-    "seed",
-}
-_EXTRA_KEYS = {"n_quantiles", "reference", "lda_lambda"}
-
-
-def read_experiment_config(path: Union[str, os.PathLike]) -> ExperimentConfig:
-    """Read a JSON experiment config; every key is optional and defaults to
-    the standard protocol.  Unknown keys are rejected."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ParseError(f"{path}: expected a JSON object")
-    unknown = set(obj) - _GEN_KEYS - _EXTRA_KEYS
-    if unknown:
-        raise ParseError(f"{path}: unknown keys {sorted(unknown)}")
-    gen_kwargs: Dict[str, Any] = {}
-    for key in _GEN_KEYS & set(obj):
-        value = obj[key]
-        if key in ("a_range", "b_range"):
-            arr = _decode_array(value, key)
-            if arr.size != 2:
-                raise ParseError(f"{path}: {key} must be a two-entry array")
-            value = (float(arr[0]), float(arr[1]))
-        elif key == "per_class":
-            if isinstance(value, list):
-                value = tuple(value)
-        gen_kwargs[key] = value
-    try:
-        gen = GenConfig(**gen_kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    reference = (
-        parse_reference(obj["reference"])
-        if isinstance(obj.get("reference"), str)
-        else reference_from_dict(obj["reference"])
-        if "reference" in obj
-        else ReferenceMeasure.uniform()
-    )
-    try:
-        transform = TransformConfig(
-            reference=reference, n_quantiles=int(obj.get("n_quantiles", 1024))
-        )
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    lda_lambda = _decode_float(obj.get("lda_lambda", DEFAULT_LDA_LAMBDA), "lda_lambda")
-    return ExperimentConfig(gen, transform, lda_lambda)
-
-
-def seed_override_from_env(env: Optional[Dict[str, str]] = None) -> Optional[int]:
-    """The SCDT_SEED environment override, if set (empty string means unset)."""
-    env = os.environ if env is None else env
-    raw = env.get("SCDT_SEED", "")
-    if raw == "":
-        return None
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ParseError(f"SCDT_SEED must be an integer, got {raw!r}") from exc

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy import signal as _signal
 
 from .measures import (
     DiscreteMeasure,
@@ -174,10 +173,14 @@ class ClassTemplate:
         return self.generator(np.asarray(t, dtype=float))
 
 
+# The sawtooth (width 1) and square (duty 0.5) carriers in their standard closed
+# forms: a ramp rising from -1 over each period, and +1 on its first half.
 TEMPLATES: Tuple[ClassTemplate, ...] = (
     ClassTemplate("gabor", lambda t: np.cos(_phase(t)) * _window(t)),
-    ClassTemplate("sawtooth", lambda t: _signal.sawtooth(_phase(t)) * _window(t)),
-    ClassTemplate("square", lambda t: _signal.square(_phase(t)) * _window(t)),
+    ClassTemplate("sawtooth", lambda t: (np.mod(_phase(t), 2 * np.pi) / np.pi - 1) * _window(t)),
+    ClassTemplate(
+        "square", lambda t: np.where(np.mod(_phase(t), 2 * np.pi) < np.pi, 1.0, -1.0) * _window(t)
+    ),
 )
 
 

@@ -268,7 +268,6 @@ def cdf(m: DiscreteMeasure) -> StepFunction:
         breakpoints,
         values,
         value_at_pos_inf=max(m.total_mass, float(values[-1])),
-        monotone=True,
     )
 
 
@@ -276,18 +275,33 @@ def measure_from_density(d: GridDensity) -> SignedMeasure:
     """Convert a sampled density to a signed measure by midpoint binning:
     bin ``i`` contributes an atom at its center with weight
     ``|samples[i]| * bin_width`` to the part matching its sign; zero bins are
-    dropped, so the two parts are mutually singular by construction."""
+    dropped, so the two parts are mutually singular by construction.
+
+    Raises :class:`RangeError` where floating point cannot hold the atoms: a
+    weight that underflows to 0 or overflows, colliding bin centres, or a part
+    mass that overflows."""
     centers = d.bin_centers()
-    w = d.samples * d.bin_width
-    pos = d.samples > 0
-    neg = d.samples < 0
-    positive = (
-        DiscreteMeasure(centers[pos], w[pos]) if np.any(pos) else DiscreteMeasure.zero()
-    )
-    negative = (
-        DiscreteMeasure(centers[neg], -w[neg]) if np.any(neg) else DiscreteMeasure.zero()
-    )
-    return SignedMeasure(positive, negative)
+    w = np.abs(d.samples) * d.bin_width
+
+    def part(mask: np.ndarray) -> DiscreteMeasure:
+        if not np.any(mask):
+            return DiscreteMeasure.zero()
+        locs, weights = centers[mask], w[mask]
+        try:
+            m = DiscreteMeasure(locs, weights)
+        except ValueError as exc:
+            if np.any(weights == 0):
+                cause = "a nonzero density value times the bin width underflows to 0"
+            elif not np.all(np.isfinite(weights)):
+                cause = "a density value times the bin width overflows"
+            else:
+                cause = "bin centres collide in floating point"
+            raise RangeError(f"cannot bin the density: {cause}") from exc
+        if not np.isfinite(m.total_mass):
+            raise RangeError("cannot bin the density: the total mass of a part overflows")
+        return m
+
+    return SignedMeasure(part(d.samples > 0), part(d.samples < 0))
 
 
 def jordan_parts(s: SignedMeasure) -> Tuple[DiscreteMeasure, DiscreteMeasure]:

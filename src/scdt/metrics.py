@@ -17,7 +17,13 @@ import numpy as np
 
 from .errors import MetricDomainError
 from .measures import DiscreteMeasure, SignedMeasure
-from .transform import PROBABILITY_RTOL, ScdtResult, TransformConfig, cdt_positive
+from .transform import (
+    DEFAULT_N_QUANTILES,
+    PROBABILITY_RTOL,
+    ScdtResult,
+    TransformConfig,
+    cdt_positive,
+)
 
 __all__ = [
     "DistanceReport",
@@ -26,8 +32,6 @@ __all__ = [
     "d_s",
     "transform_l2",
 ]
-
-DEFAULT_N_QUANTILES = 1024
 
 
 @dataclass(frozen=True, eq=False)

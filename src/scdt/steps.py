@@ -53,7 +53,7 @@ def _geninv_search(values: np.ndarray, breakpoints: np.ndarray, y: ArrayLike) ->
 
 @dataclass(frozen=True, eq=False)
 class StepFunction:
-    """A right-continuous step function on ``[-inf, +inf]``.
+    """A right-continuous non-decreasing step function on ``[-inf, +inf]``.
 
     ``values[0]`` is taken on ``[-inf, breakpoints[0])``, ``values[i]`` on
     ``[breakpoints[i-1], breakpoints[i])`` and ``values[-1]`` on
@@ -68,18 +68,15 @@ class StepFunction:
     breakpoints:
         Strictly increasing finite reals (possibly empty).
     values:
-        ``len(breakpoints) + 1`` values; ``+-inf`` entries are allowed.
+        ``len(breakpoints) + 1`` non-decreasing values; ``+-inf`` entries are
+        allowed.
     value_at_pos_inf:
-        Value at the point ``+inf``; defaults to ``values[-1]``.
-    monotone:
-        Declares the function non-decreasing; checked at construction and
-        required by the generalized-inverse operations.
+        Value at the point ``+inf``, not below ``values[-1]`` (the default).
     """
 
     breakpoints: np.ndarray
     values: np.ndarray
     value_at_pos_inf: Optional[float] = None
-    monotone: bool = True
 
     def __post_init__(self) -> None:
         bp = _as_float_array(self.breakpoints, "breakpoints")
@@ -97,11 +94,10 @@ class StepFunction:
         vapi = vals[-1] if self.value_at_pos_inf is None else float(self.value_at_pos_inf)
         if np.isnan(vapi):
             raise ValueError("value_at_pos_inf must not be NaN")
-        if self.monotone:
-            if vals.size > 1 and not np.all(vals[1:] >= vals[:-1]):
-                raise ValueError("monotone step function must have non-decreasing values")
-            if vapi < vals[-1]:
-                raise ValueError("value_at_pos_inf must not fall below the final value")
+        if vals.size > 1 and not np.all(vals[1:] >= vals[:-1]):
+            raise ValueError("monotone step function must have non-decreasing values")
+        if vapi < vals[-1]:
+            raise ValueError("value_at_pos_inf must not fall below the final value")
         bp.setflags(write=False)
         vals.setflags(write=False)
         object.__setattr__(self, "breakpoints", bp)
@@ -126,7 +122,6 @@ class StepFunction:
         Returns ``+inf`` when the superlevel set is empty (``inf of the empty
         set``) and ``-inf`` when it is the whole line.
         """
-        self._require_monotone()
         out = _geninv_search(self.values, self.breakpoints, _as_float_array(y, "y"))
         if np.ndim(y) == 0:
             return float(out)
@@ -138,7 +133,6 @@ class StepFunction:
         Agrees pointwise with :meth:`geninv_eval` everywhere, and always takes
         the value ``+inf`` at the point ``+inf``.
         """
-        self._require_monotone()
         thresholds = self.values
         targets = np.concatenate((self.breakpoints, [POS_INF]))
         # A +inf value is only exceeded beyond every finite y: its region is
@@ -159,12 +153,7 @@ class StepFunction:
             thresholds,
             np.concatenate(([head], targets)),
             value_at_pos_inf=POS_INF,
-            monotone=True,
         )
-
-    def _require_monotone(self) -> None:
-        if not self.monotone:
-            raise ValueError("operation requires a monotone step function")
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,5 +276,4 @@ def compose(f: StepFunction, g: PiecewiseLinearMap) -> StepFunction:
         h,
         np.concatenate(([head], upper)),
         value_at_pos_inf=vapi,
-        monotone=f.monotone,
     )

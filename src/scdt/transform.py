@@ -36,6 +36,9 @@ __all__ = [
     "scdt_inverse",
 ]
 
+#: Number of midpoint quantile levels when none is given.
+DEFAULT_N_QUANTILES = 1024
+
 #: Relative tolerance on the total mass of a claimed probability measure.
 PROBABILITY_RTOL = 1e-9
 
@@ -55,7 +58,7 @@ class TransformConfig:
     """
 
     reference: ReferenceMeasure = field(default_factory=ReferenceMeasure.uniform)
-    n_quantiles: int = 1024
+    n_quantiles: int = DEFAULT_N_QUANTILES
     quantiles: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:

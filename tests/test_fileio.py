@@ -1,5 +1,6 @@
 """Serialization round trips and parse-error reporting for the signal CSV,
-reference spec, transform JSON, and experiment config formats."""
+reference spec, transform JSON, and experiment config formats (the last read
+by the CLI module)."""
 
 from __future__ import annotations
 
@@ -8,15 +9,14 @@ import json
 import numpy as np
 import pytest
 
+from scdt.cli import read_experiment_config, seed_override_from_env
 from scdt.errors import InvalidReferenceError, ParseError
 from scdt.fileio import (
     parse_reference,
-    read_experiment_config,
     read_signal_csv,
     read_transform_json,
     reference_from_dict,
     reference_to_dict,
-    seed_override_from_env,
     write_signal_csv,
     write_transform_json,
 )

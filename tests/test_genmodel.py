@@ -3,13 +3,19 @@ templates, and the synthetic dataset generator."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import scdt
 from conftest import signed_measures
 from scdt.genmodel import (
+    CARRIER_PERIOD,
     TEMPLATES,
     WINDOW_CENTER,
     WINDOW_HALF_WIDTH,
@@ -18,6 +24,8 @@ from scdt.genmodel import (
     apply_reparam,
     convexity_probe,
     generate_dataset,
+    _phase,
+    _window,
     predict_transform_under_reparam,
 )
 from scdt.measures import DiscreteMeasure, GridDensity, SignedMeasure, cdf, measure_from_density
@@ -211,6 +219,28 @@ class TestTemplates:
         t = np.linspace(-0.5, 5.0, 2048)
         for template in TEMPLATES:
             assert np.max(np.abs(template(t))) <= 1.0 + 1e-12
+
+    def test_sawtooth_and_square_match_scipy_signal_bit_for_bit(self):
+        from scipy import signal
+
+        cfg = GenConfig()
+        grid = GridDensity(cfg.t0, cfg.t1, np.zeros(cfg.n_grid)).bin_centers()
+        rng = np.random.default_rng(0)
+        spread = rng.uniform(WINDOW_CENTER - 1.0, WINDOW_CENTER + 1.0, 100_000)
+        half_periods = WINDOW_CENTER + np.arange(-8, 9) * (CARRIER_PERIOD / 2)
+        for t in (grid, spread, half_periods):
+            for template, oracle in zip(TEMPLATES[1:], (signal.sawtooth, signal.square)):
+                want = oracle(_phase(t)) * _window(t)
+                assert template(t).tobytes() == want.tobytes(), template.name
+
+    def test_importing_the_package_leaves_out_scipy_signal(self):
+        src = os.path.dirname(os.path.dirname(scdt.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        code = "import sys, scdt, scdt.cli; print('scipy.signal' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestGenConfig:

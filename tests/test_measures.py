@@ -298,6 +298,21 @@ class TestMeasureFromDensity:
         back = rebin(measure_from_density(d), d.t0, d.t1, d.n_bins)
         assert np.allclose(back.samples, d.samples, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "density, cause",
+        [
+            (GridDensity(0.0, 0.01, np.array([1e-322, 1.0])), "underflows to 0"),
+            (GridDensity(0.0, 4.0, np.array([1e308, 1.0])), "bin width overflows"),
+            (GridDensity(1e16, 1e16 + 8, np.ones(8)), "collide"),
+            (GridDensity(0.0, 2.0, np.array([1e308, 1e308])), "total mass of a part overflows"),
+        ],
+        ids=["weight-underflow", "weight-overflow", "centre-collision", "mass-overflow"],
+    )
+    def test_unrepresentable_atoms_raise_range_error(self, density, cause):
+        with pytest.raises(RangeError, match=cause):
+            measure_from_density(density)
+
 
 class TestPushforward:
     def test_constant_zero_map_gives_delta(self):

@@ -153,10 +153,6 @@ class TestStepValidation:
         with pytest.raises(ValueError):
             StepFunction(np.array([0.0]), np.array([1.0, 0.0]))
 
-    def test_nonmonotone_values_allowed_when_flagged(self):
-        f = StepFunction(np.array([0.0]), np.array([1.0, 0.0]), monotone=False)
-        assert f(-1.0) == 1.0 and f(0.0) == 0.0
-
     def test_value_at_pos_inf_below_top_rejected(self):
         with pytest.raises(ValueError):
             StepFunction(np.array([0.0]), np.array([0.0, 1.0]), value_at_pos_inf=0.5)
@@ -196,13 +192,6 @@ class TestGeninvEval:
         assert f.geninv_eval(0.75) == 2.0
         assert f.geninv_eval(1.0) == POS_INF
         assert f.geninv_eval(-0.25) == NEG_INF
-
-    def test_rejects_nonmonotone(self):
-        f = StepFunction(np.array([0.0]), np.array([1.0, 0.0]), monotone=False)
-        with pytest.raises(ValueError):
-            f.geninv_eval(0.5)
-        with pytest.raises(ValueError):
-            f.geninv()
 
     @given(monotone_steps())
     def test_matches_structural_scan(self, f):
@@ -247,7 +236,6 @@ class TestGeninvClosedForm:
     @given(monotone_steps())
     def test_result_is_monotone_step(self, f):
         g = f.geninv()
-        assert g.monotone
         if g.values.size > 1:
             assert np.all(g.values[1:] >= g.values[:-1])
 
