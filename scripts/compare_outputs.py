@@ -8,6 +8,10 @@ Each checkout's ``src`` is imported in its own interpreter, which dumps:
   2-D projections in both feature spaces;
 - ``generate_dataset`` labels and samples on the same seeds, and the three
   class templates on the default grid;
+- ``featurize`` rows of both kinds (raw samples and transforms) of those
+  datasets;
+- ``generate_dataset`` on two configs whose warps cannot be rebinned: atoms
+  off the grid and atoms that collapse onto each other (both raise);
 - ``scdt_forward`` samples and masses, ``rebin(scdt_inverse(...))`` and
   ``d_s`` values and components on 4e5-bin signed and nonnegative densities
   at M = 2^17;
@@ -78,6 +82,16 @@ def dump():
         signals = scdt.generate_dataset(scdt.GenConfig(seed=seed))
         out[f"dataset/{seed}"] = (np.array([label for label, _ in signals]),
                                   np.stack([d.samples for _, d in signals]))
+        for kind in scdt.classify.FEATURE_KINDS:
+            features = scdt.featurize(signals, kind, scdt.TransformConfig())
+            out[f"featurize/{kind}/{seed}"] = (features.labels, features.rows)
+    edge_configs = {
+        "off_grid": dict(a_range=(0.1, 0.1)),
+        "collapsing": dict(t0=-3.0, a_range=(1e15, 1e15), b_range=(1e15, 1e15), per_class=1),
+    }
+    for name, kwargs in edge_configs.items():
+        out[f"dataset/{name}"] = _try(lambda: [
+            d.samples for _, d in scdt.generate_dataset(scdt.GenConfig(**kwargs))])
 
     cfg = scdt.TransformConfig(n_quantiles=LARGE_M)
     measures = []

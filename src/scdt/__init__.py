@@ -36,6 +36,7 @@ from .transform import (
     cdt_positive,
     cdt_probability,
     scdt_forward,
+    scdt_forward_batch,
     scdt_inverse,
 )
 from .metrics import DistanceReport, d_s, d_w2, transform_l2, w2
@@ -107,6 +108,7 @@ __all__ = [
     "rebin",
     "run_experiment",
     "scdt_forward",
+    "scdt_forward_batch",
     "scdt_inverse",
     "transform_l2",
     "w2",

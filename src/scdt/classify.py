@@ -16,8 +16,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .genmodel import GenConfig, LabeledSignals, generate_dataset
-from .measures import measure_from_density
-from .transform import TransformConfig, scdt_forward
+from .transform import TransformConfig, scdt_forward_batch
 
 __all__ = [
     "FeatureMatrix",
@@ -76,17 +75,9 @@ def featurize(signals: LabeledSignals, kind: str, cfg: TransformConfig) -> Featu
     grids = {(d.t0, d.t1, d.n_bins) for _, d in signals}
     if len(grids) != 1:
         raise ValueError("all signals must share one grid")
-    if kind == "raw_signal":
-        rows = np.stack([d.samples for _, d in signals])
-        return FeatureMatrix(rows, labels, kind)
-    rows = np.empty((len(signals), 2 * cfg.n_quantiles + 2))
-    for i, (_, density) in enumerate(signals):
-        t = scdt_forward(measure_from_density(density), cfg)
-        m = cfg.n_quantiles
-        rows[i, :m] = t.plus.samples
-        rows[i, m] = t.plus.mass
-        rows[i, m + 1 : 2 * m + 1] = t.minus.samples
-        rows[i, 2 * m + 1] = t.minus.mass
+    rows = np.stack([d.samples for _, d in signals])
+    if kind == "scdt":
+        rows = scdt_forward_batch(rows, first.t0, first.t1, cfg)
     return FeatureMatrix(rows, labels, kind)
 
 

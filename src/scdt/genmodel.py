@@ -19,6 +19,7 @@ from .measures import (
     DiscreteMeasure,
     GridDensity,
     SignedMeasure,
+    _bin_index,
     measure_from_density,
     rebin,
 )
@@ -238,20 +239,60 @@ LabeledSignals = List[Tuple[int, GridDensity]]
 
 def generate_dataset(cfg: GenConfig) -> LabeledSignals:
     """Generate labeled noisy signals, class by class, deterministically under
-    the config seed.  Returns ``(label, density)`` pairs in generation order."""
+    the config seed.  Returns ``(label, density)`` pairs in generation order.
+
+    Each signal is ``rebin(apply_reparam(template measure, affine(a, b)))``
+    plus noise, computed for a whole class at once; a signal whose warped
+    atoms merge or leave the grid is recomputed on that per-signal path,
+    which merges the atoms or raises for it."""
     rng = np.random.default_rng(cfg.seed)
-    centers = GridDensity(cfg.t0, cfg.t1, np.zeros(cfg.n_grid)).bin_centers()
+    t0, t1, n = float(cfg.t0), float(cfg.t1), cfg.n_grid
+    centers = GridDensity(t0, t1, np.zeros(n)).bin_centers()
     out: LabeledSignals = []
     for label, template in enumerate(TEMPLATES):
-        base = measure_from_density(GridDensity(cfg.t0, cfg.t1, template(centers)))
-        for _ in range(cfg.per_class[label]):
-            a = rng.uniform(*cfg.a_range)
-            b = rng.uniform(*cfg.b_range)
-            warped = apply_reparam(base, IncreasingReparam.affine(a, b))
-            density = rebin(warped, cfg.t0, cfg.t1, cfg.n_grid)
-            noisy = density.samples + rng.normal(0.0, cfg.noise_sigma, cfg.n_grid)
-            out.append((label, GridDensity(cfg.t0, cfg.t1, noisy)))
+        base = measure_from_density(GridDensity(t0, t1, template(centers)))
+        count = cfg.per_class[label]
+        a, b, noise = np.empty(count), np.empty(count), np.empty((count, n))
+        # One signal at a time draws a, b, then its noise: keep that order.
+        for i in range(count):
+            a[i], b[i] = rng.uniform(*cfg.a_range), rng.uniform(*cfg.b_range)
+            noise[i] = rng.normal(0.0, cfg.noise_sigma, n)
+        density, exact = _warp_and_rebin(base, a, b, t0, t1, n)
+        for i, row in enumerate(density + noise):
+            if not exact[i]:
+                warped = apply_reparam(base, IncreasingReparam.affine(a[i], b[i]))
+                row = rebin(warped, t0, t1, n).samples + noise[i]
+            out.append((label, GridDensity(t0, t1, row)))
     return out
+
+
+def _warp_and_rebin(
+    base: SignedMeasure, a: np.ndarray, b: np.ndarray, t0: float, t1: float, n: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Row ``i`` of the first array is ``rebin(apply_reparam(base,
+    IncreasingReparam.affine(a[i], b[i])), t0, t1, n).samples`` wherever row
+    ``i`` of the second is True: the warped atoms stay strictly increasing and
+    on the grid, so no weights merge and one ``bincount`` over row-offset bin
+    indices adds each bin's weights in the same order as ``rebin``."""
+    pos, neg = base.positive_part, base.negative_part
+    locations = np.concatenate((pos.locations, neg.locations))
+    warped = (locations - b[:, None]) / a[:, None]
+    ordered = warped[:, np.argsort(locations)]
+    exact = np.all(ordered[:, 1:] > ordered[:, :-1], axis=1) & np.all(
+        (warped >= t0) & (warped <= t1), axis=1
+    )
+    rows = np.count_nonzero(exact)
+    width = (t1 - t0) / n
+    index = _bin_index(warped[exact], t0, width, n) + n * np.arange(rows)[:, None]
+
+    def deposit(part: DiscreteMeasure, cols: np.ndarray) -> np.ndarray:
+        weights = np.broadcast_to(part.weights, cols.shape)
+        return np.bincount(cols.ravel(), weights.ravel(), minlength=rows * n)
+
+    pos_index, neg_index = np.split(index, [pos.weights.size], axis=1)
+    density = np.zeros((a.size, n))
+    density[exact] = ((deposit(pos, pos_index) - deposit(neg, neg_index)) / width).reshape(rows, n)
+    return density, exact
 
 
 def convexity_probe(

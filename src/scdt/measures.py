@@ -355,11 +355,18 @@ def rebin(m: SignedMeasure, t0: float, t1: float, n_bins: int) -> GridDensity:
             raise RangeError(
                 f"atoms outside the grid [{t0}, {t1}] cannot be rebinned"
             )
-        idx = np.minimum(((locs - t0) / width).astype(int), n_bins - 1)
-        return np.bincount(idx, weights=part.weights, minlength=n_bins)
+        return np.bincount(_bin_index(locs, t0, width, n_bins), weights=part.weights,
+                           minlength=n_bins)
 
     density = (deposit(m.positive_part) - deposit(m.negative_part)) / width
     return GridDensity(t0, t1, density)
+
+
+def _bin_index(locs: np.ndarray, t0: float, width: float, n_bins: int) -> np.ndarray:
+    """The bin of each location of the grid ``[t0, t0 + n_bins * width]``
+    (the right edge falls in the last bin), for locations already checked to
+    lie on it."""
+    return np.minimum(((locs - t0) / width).astype(int), n_bins - 1)
 
 
 def measure_quantiles(m: DiscreteMeasure, q: np.ndarray) -> np.ndarray:

@@ -45,9 +45,18 @@ def _geninv_search(values: np.ndarray, breakpoints: np.ndarray, y: ArrayLike) ->
     when no value exceeds ``y``.
 
     The one generalized-inverse search of the package, shared by
-    :meth:`StepFunction.geninv_eval` and quantile sampling of measures.
+    :meth:`StepFunction.geninv_eval`, quantile sampling of measures and the
+    batched grid transform.  For that last caller ``values`` is 2-D, one step
+    function per row over the shared ``breakpoints``, and row ``i`` of ``y``
+    is searched in row ``i`` of ``values`` alone, with the same comparisons
+    as a 1-D search.
     """
-    j = np.searchsorted(values, y, side="right")
+    if values.ndim == 2:
+        j = np.empty(np.shape(y), dtype=np.intp)
+        for row, (v, level) in enumerate(zip(values, y)):
+            j[row] = np.searchsorted(v, level, side="right")
+    else:
+        j = np.searchsorted(values, y, side="right")
     return np.concatenate(([NEG_INF], breakpoints, [POS_INF]))[j]
 
 

@@ -18,12 +18,15 @@ import numpy as np
 from .errors import SingularityWarning
 from .measures import (
     DiscreteMeasure,
+    GridDensity,
     ReferenceMeasure,
     SignedMeasure,
     jordan_parts,
+    measure_from_density,
     measure_quantiles,
     pushforward,
 )
+from .steps import _geninv_search
 
 __all__ = [
     "TransformConfig",
@@ -32,6 +35,7 @@ __all__ = [
     "cdt_probability",
     "cdt_positive",
     "scdt_forward",
+    "scdt_forward_batch",
     "cdt_inverse",
     "scdt_inverse",
 ]
@@ -151,6 +155,50 @@ def scdt_forward(s: SignedMeasure, cfg: TransformConfig) -> ScdtResult:
     decomposition."""
     plus, minus = jordan_parts(s)
     return ScdtResult(cdt_positive(plus, cfg), cdt_positive(minus, cfg))
+
+
+def scdt_forward_batch(
+    samples: np.ndarray, t0: float, t1: float, cfg: TransformConfig
+) -> np.ndarray:
+    """Transform every row of ``samples`` (signals x bins), a density on the
+    equal bins of ``[t0, t1]``, into the row (plus samples, plus mass, minus
+    samples, minus mass) of length ``2 * n_quantiles + 2``.
+
+    Row ``i`` equals ``scdt_forward(measure_from_density(GridDensity(t0, t1,
+    samples[i])), cfg)`` bit for bit: a zero bin adds exactly 0.0 to the
+    row-wise cumulative sums, so masses and quantile searches see the same
+    floats as the per-signal atoms, and an empty part gets the (all-zero
+    samples, mass 0) convention.  Rows that floating point cannot bin are
+    replayed through :func:`measure_from_density`, which raises its own
+    :class:`RangeError` (or :class:`SingularityError`) for the first of them.
+    """
+    x = np.asarray(samples, dtype=float)
+    if x.ndim != 2 or x.shape[1] < 1:
+        raise ValueError("samples must be a 2-D array (signals x bins) with at least one bin")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("density samples must be finite")
+    n_signals, n_bins = x.shape
+    grid = GridDensity(t0, t1, np.zeros(n_bins))
+    centers = grid.bin_centers()
+    w = np.abs(x) * grid.bin_width
+    m = cfg.n_quantiles
+    out = np.zeros((n_signals, 2 * m + 2))
+    # On a grid whose bin centres collide only the atoms of a row show whether it fails.
+    suspect = np.full(n_signals, not np.all(centers[1:] > centers[:-1]))
+    for col, mask in ((0, x > 0), (m + 1, x < 0)):
+        csum = np.zeros((n_signals, n_bins + 1))
+        np.cumsum(np.where(mask, w, 0.0), axis=1, out=csum[:, 1:])
+        total = csum[:, -1]
+        suspect |= ~np.isfinite(total) | np.any(mask & ((w == 0) | ~np.isfinite(w)), axis=1)
+        rows = np.any(mask, axis=1)
+        found = _geninv_search(csum[rows], centers, cfg.quantiles * total[rows, None])
+        # Clamp to the last atom of the part, where q * total rounds up to it.
+        last = centers[n_bins - 1 - np.argmax(mask[rows, ::-1], axis=1)]
+        out[rows, col : col + m] = np.minimum(found, last[:, None])
+        out[rows, col + m] = total[rows]
+    for i in np.flatnonzero(suspect):
+        measure_from_density(GridDensity(t0, t1, x[i]))
+    return out
 
 
 def cdt_inverse(c: CdtResult, cfg: TransformConfig) -> DiscreteMeasure:

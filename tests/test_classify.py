@@ -4,14 +4,18 @@ separability experiment."""
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from scdt.classify import FeatureMatrix, featurize, fit_lda, run_experiment
+from scdt.errors import ScdtError
 from scdt.genmodel import GenConfig
-from scdt.measures import GridDensity
-from scdt.transform import TransformConfig
+from scdt.measures import GridDensity, measure_from_density
+from scdt.transform import TransformConfig, scdt_forward, scdt_forward_batch
 
 
 def spike_density(bin_index: int, n_bins: int = 4, sign: float = 1.0) -> GridDensity:
@@ -35,6 +39,11 @@ class TestFeatureMatrix:
         fm = FeatureMatrix(np.zeros((2, 2)), np.zeros(2, dtype=int), "scdt")
         with pytest.raises(ValueError):
             fm.rows[0, 0] = 1.0
+
+    def test_float_rows_are_frozen_in_place(self):
+        rows = np.zeros((2, 2))
+        assert FeatureMatrix(rows, np.zeros(2, dtype=int), "scdt").rows is rows
+        assert not rows.flags.writeable
 
     def test_subset(self):
         fm = FeatureMatrix(np.arange(6.0).reshape(3, 2), np.array([0, 1, 2]), "scdt")
@@ -81,6 +90,93 @@ class TestFeaturize:
             featurize([], "raw_signal", cfg)
         with pytest.raises(ValueError):
             featurize([(0, spike_density(0))], "pca", cfg)
+
+
+def per_signal_rows(signals, cfg: TransformConfig) -> np.ndarray:
+    """Transform rows built signal by signal through the measure objects."""
+    rows = []
+    for _, density in signals:
+        t = scdt_forward(measure_from_density(density), cfg)
+        rows.append(np.concatenate((t.plus.samples, [t.plus.mass], t.minus.samples, [t.minus.mass])))
+    return np.array(rows)
+
+
+@st.composite
+def signals_on_one_grid(draw):
+    """Labeled densities on one grid of 1-512 bins: zero bins, all-zero and
+    one-sign rows, magnitudes from subnormal to about 1e300."""
+    n_bins = draw(st.integers(min_value=1, max_value=512))
+    t0 = draw(st.floats(min_value=-10.0, max_value=10.0))
+    span = draw(st.floats(min_value=1e-3, max_value=1e3))
+    signals = []
+    for label in range(draw(st.integers(min_value=1, max_value=4))):
+        rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+        lo = draw(st.integers(min_value=-323, max_value=300))
+        hi = min(lo + draw(st.integers(min_value=0, max_value=40)), 300)
+        signs = {
+            "mixed": rng.choice((-1.0, 0.0, 1.0), size=n_bins),
+            "zero": np.zeros(n_bins),
+            "positive": rng.choice((0.0, 1.0), size=n_bins),
+            "negative": rng.choice((-1.0, 0.0), size=n_bins),
+        }[draw(st.sampled_from(("mixed", "zero", "positive", "negative")))]
+        samples = signs * 10.0 ** rng.uniform(lo, hi, size=n_bins)
+        signals.append((label, GridDensity(t0, t0 + span, samples)))
+    return signals
+
+
+class TestTransformKernel:
+    @given(signals_on_one_grid(), st.integers(min_value=2, max_value=64))
+    def test_rows_equal_the_per_signal_transforms_bit_for_bit(self, signals, n_quantiles):
+        cfg = TransformConfig(n_quantiles=n_quantiles)
+        try:
+            want = per_signal_rows(signals, cfg)
+        except ScdtError as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                featurize(signals, "scdt", cfg)
+            return
+        got = featurize(signals, "scdt", cfg).rows
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_rows_clamp_to_the_last_atom_of_each_part(self):
+        # With a subnormal part mass, q * total rounds up to the total for the
+        # upper levels, where the search runs past the last atom.
+        samples = np.array([5e-324, 0.0, -1e-323, 0.0, 5e-324, 0.0])
+        signals = [(0, GridDensity(0.0, 6.0, samples)), (1, GridDensity(0.0, 6.0, -samples))]
+        cfg = TransformConfig(n_quantiles=8)
+        got = featurize(signals, "scdt", cfg).rows
+        assert got.tobytes() == per_signal_rows(signals, cfg).tobytes()
+        assert np.array_equal(got[0, :8], [0.5] * 2 + [4.5] * 6)
+
+    def test_kernel_validates_its_arrays(self):
+        cfg = TransformConfig(n_quantiles=4)
+        for bad in (np.zeros(4), np.zeros((2, 0)), np.array([[0.0, np.nan]])):
+            with pytest.raises(ValueError):
+                scdt_forward_batch(bad, 0.0, 1.0, cfg)
+        with pytest.raises(ValueError):
+            scdt_forward_batch(np.zeros((1, 2)), 1.0, 0.0, cfg)
+        assert scdt_forward_batch(np.zeros((0, 3)), 0.0, 1.0, cfg).shape == (0, 10)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "t0, t1, samples",
+        [
+            (0.0, 0.01, [1e-322, 1.0]),
+            (0.0, 4.0, [1e308, 1.0]),
+            (1e16, 1e16 + 8, np.ones(8)),
+            (1e16, 1e16 + 8, [1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0]),
+            (0.0, 2.0, [1e308, 1e308]),
+        ],
+        ids=["weight-underflow", "weight-overflow", "centre-collision", "parts-collide",
+             "mass-overflow"],
+    )
+    def test_unrepresentable_row_raises_what_measure_from_density_raises(self, t0, t1, samples):
+        bad = GridDensity(t0, t1, np.asarray(samples, dtype=float))
+        with pytest.raises(ScdtError) as expected:
+            measure_from_density(bad)
+        signals = [(0, GridDensity(t0, t1, np.zeros(bad.n_bins))), (1, bad), (2, bad)]
+        with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
+            featurize(signals, "scdt", TransformConfig(n_quantiles=4))
 
 
 class TestFitLda:

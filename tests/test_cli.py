@@ -173,6 +173,19 @@ class TestGenerate:
         b = read_signal_csv(tmp_path / "d7" / "signal_0000_class0.csv")
         assert not np.array_equal(a.samples, b.samples)
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"a_range": [0.1, 0.1]},
+            {"t0": -3.0, "a_range": [1e15, 1e15], "b_range": [1e15, 1e15], "per_class": 1},
+        ],
+        ids=["atoms-off-the-grid", "atoms-collapse"],
+    )
+    def test_unrepresentable_warps_exit_4(self, tmp_path, config):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert main(["generate", "--config", str(path), "--outdir", str(tmp_path / "d")]) == 4
+
     def test_bad_seed_env_exit_2(self, tmp_path, monkeypatch):
         cfg = self.config(tmp_path)
         monkeypatch.setenv("SCDT_SEED", "many")

@@ -4,6 +4,7 @@ templates, and the synthetic dataset generator."""
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 
@@ -28,7 +29,15 @@ from scdt.genmodel import (
     _window,
     predict_transform_under_reparam,
 )
-from scdt.measures import DiscreteMeasure, GridDensity, SignedMeasure, cdf, measure_from_density
+from scdt.errors import RangeError, ScdtError, SingularityError
+from scdt.measures import (
+    DiscreteMeasure,
+    GridDensity,
+    SignedMeasure,
+    cdf,
+    measure_from_density,
+    rebin,
+)
 from scdt.transform import TransformConfig, scdt_forward
 
 
@@ -270,6 +279,25 @@ class TestGenConfig:
             GenConfig(per_class=(5, 0, 5))
 
 
+#: Warps every atom to about -1, where neighbours of opposite sign collide.
+COLLAPSING = GenConfig(t0=-3.0, a_range=(1e15, 1e15), b_range=(1e15, 1e15), per_class=1)
+
+
+def per_signal_dataset(cfg: GenConfig):
+    """The dataset built signal by signal: warp the template measure, rebin,
+    add noise, drawing a, b and the noise in that order per signal."""
+    rng = np.random.default_rng(cfg.seed)
+    centers = GridDensity(cfg.t0, cfg.t1, np.zeros(cfg.n_grid)).bin_centers()
+    out = []
+    for label, template in enumerate(TEMPLATES):
+        base = measure_from_density(GridDensity(cfg.t0, cfg.t1, template(centers)))
+        for _ in range(cfg.per_class[label]):
+            g = IncreasingReparam.affine(rng.uniform(*cfg.a_range), rng.uniform(*cfg.b_range))
+            density = rebin(apply_reparam(base, g), cfg.t0, cfg.t1, cfg.n_grid)
+            out.append((label, density.samples + rng.normal(0.0, cfg.noise_sigma, cfg.n_grid)))
+    return out
+
+
 class TestGenerateDataset:
     def small_cfg(self, **kw) -> GenConfig:
         base = dict(per_class=(3, 3, 3), n_grid=64)
@@ -307,6 +335,41 @@ class TestGenerateDataset:
         centers = GridDensity(cfg.t0, cfg.t1, np.zeros(cfg.n_grid)).bin_centers()
         for (label, density), template in zip(generate_dataset(cfg), TEMPLATES):
             assert np.max(np.abs(density.samples - template(centers))) <= 1e-12
+
+    def test_atoms_off_the_grid_raise_range_error(self):
+        with pytest.raises(
+            RangeError, match=re.escape("atoms outside the grid [-0.5, 5.0] cannot be rebinned")
+        ):
+            generate_dataset(GenConfig(a_range=(0.1, 0.1)))
+
+    def test_collapsed_atoms_raise_singularity_error(self):
+        with pytest.raises(SingularityError):
+            generate_dataset(COLLAPSING)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            GenConfig(per_class=(5, 4, 3), n_grid=64, seed=11),
+            GenConfig(per_class=(2, 1, 2), n_grid=7, t0=-1.0, t1=6.0, noise_sigma=0.0),
+            # Warped atoms merge on every signal without touching across parts.
+            GenConfig(a_range=(4.2e13, 4.4e13), b_range=(-1.31e14, -1.29e14),
+                      per_class=(2, 2, 2), seed=3),
+            GenConfig(a_range=(0.1, 0.1)),
+            COLLAPSING,
+        ],
+        ids=["small", "coarse-noiseless", "merging", "off-grid", "collapsing"],
+    )
+    def test_matches_the_per_signal_path(self, cfg):
+        try:
+            want = per_signal_dataset(cfg)
+        except ScdtError as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                generate_dataset(cfg)
+            return
+        got = generate_dataset(cfg)
+        assert [label for label, _ in got] == [label for label, _ in want]
+        got_rows = np.stack([d.samples for _, d in got])
+        assert got_rows.tobytes() == np.stack([samples for _, samples in want]).tobytes()
 
 
 class TestConvexityProbe:

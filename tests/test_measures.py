@@ -97,6 +97,22 @@ class TestDiscreteMeasure:
             m.scaled(POS_INF)
 
 
+    def test_float_arrays_are_frozen_in_place_not_copied(self):
+        # Copying would double the memory of every large measure; the
+        # caller's arrays become read-only instead.
+        locs, w = np.array([0.0, 1.0]), np.array([2.0, 3.0])
+        m = DiscreteMeasure(locs, w)
+        assert m.locations is locs and m.weights is w
+        samples = np.array([1.0, -1.0])
+        assert GridDensity(0.0, 1.0, samples).samples is samples
+        for arr in (locs, w, samples):
+            assert not arr.flags.writeable
+        # Other inputs are converted to new float arrays, which are frozen.
+        ints = np.array([0, 1])
+        assert DiscreteMeasure(ints, w).locations is not ints
+        assert ints.flags.writeable
+
+
 class TestCdf:
     def test_delta_is_heaviside(self):
         f = cdf(DiscreteMeasure(np.array([0.0]), np.array([1.0])))
