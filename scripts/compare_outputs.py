@@ -5,7 +5,10 @@
 Each checkout's ``src`` is imported in its own interpreter, which dumps:
 
 - ``run_experiment`` on seeds 0-4 and 97: accuracies, confusion matrices and
-  2-D projections in both feature spaces;
+  the held-out predicted labels in both feature spaces under
+  ``experiment/<seed>``, and the 2-D projections under
+  ``experiment/<seed>/projections``, so a change that moves only the last
+  bits of the projections shows as exactly those keys;
 - ``generate_dataset`` labels and samples on the same seeds, and the three
   class templates on the default grid;
 - ``featurize`` rows of both kinds (raw samples and transforms) of those
@@ -20,9 +23,11 @@ Each checkout's ``src`` is imported in its own interpreter, which dumps:
 - ``w2``, ``d_w2`` and ``d_s`` with zero parts.
 
 Arrays are compared by their bytes, so -0.0 against 0.0 counts as a
-difference.  A case that raises is recorded by exception type and message;
-one that raises in OLD and succeeds in NEW is listed as fixed, not as a
-mismatch.  Exit status 1 means some output differs.
+difference; for a differing key of float arrays the largest
+``|old - new| / max|old|`` is printed too.  A case that raises is recorded
+by exception type and message; one that raises in OLD and succeeds in NEW
+is listed as fixed, not as a mismatch.  Exit status 1 means some output
+differs.
 """
 
 from __future__ import annotations
@@ -68,11 +73,19 @@ def dump():
     out = {}
     for seed in SEEDS:
         rep = scdt.classify.run_experiment(scdt.GenConfig(), scdt.TransformConfig(), seed=seed)
+        # The held-out predictions, refitted on run_experiment's parity split.
+        signals = scdt.generate_dataset(scdt.GenConfig(seed=seed))
+        held_out = np.arange(len(signals)) % 2 == 1
+        predicted = []
+        for kind in scdt.classify.FEATURE_KINDS:
+            features = scdt.featurize(signals, kind, scdt.TransformConfig())
+            model = scdt.classify.fit_lda(features.subset(~held_out))
+            predicted.append(model.predict(features.subset(held_out).rows))
         out[f"experiment/{seed}"] = (
             rep.accuracy_signal_space, rep.accuracy_scdt_space,
-            rep.confusion_signal, rep.confusion_scdt,
-            rep.projections_signal, rep.projections_scdt,
+            rep.confusion_signal, rep.confusion_scdt, *predicted,
         )
+        out[f"experiment/{seed}/projections"] = (rep.projections_signal, rep.projections_scdt)
 
     gen = scdt.GenConfig()
     grid = scdt.GridDensity(gen.t0, gen.t1, np.zeros(gen.n_grid)).bin_centers()
@@ -153,6 +166,21 @@ def _raised(v):
     return isinstance(v, tuple) and len(v) == 3 and v[0] == "raised"
 
 
+def _relative_difference(a, b):
+    """`` (max relative difference ...)`` for two outputs made of float arrays
+    of equal shapes, else an empty string."""
+    a, b = (v if isinstance(v, tuple) else (v,) for v in (a, b))
+    try:
+        pairs = [(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+                 for x, y in zip(a, b)]
+        if len(a) != len(b) or any(x.shape != y.shape or x.size == 0 for x, y in pairs):
+            return ""
+        worst = max(np.max(np.abs(x - y)) / np.max(np.abs(x)) for x, y in pairs)
+    except (TypeError, ValueError):
+        return ""
+    return f" (max relative difference {worst:.3g})"
+
+
 def main(argv):
     if len(argv) == 2 and argv[0] == "--dump":
         with open(argv[1], "wb") as fh:
@@ -182,7 +210,7 @@ def main(argv):
     for line in fixed:
         print("  fixed:", line)
     for key in mismatched:
-        print("  differs:", key)
+        print("  differs:", key + _relative_difference(old.get(key), new.get(key)))
     return 1 if mismatched else 0
 
 

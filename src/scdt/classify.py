@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .genmodel import GenConfig, LabeledSignals, generate_dataset
 from .transform import TransformConfig, scdt_forward_batch
@@ -32,7 +31,8 @@ FEATURE_KINDS = ("raw_signal", "scdt")
 
 #: Default within-class scatter regularization, relative to the scatter's
 #: mean diagonal entry (which makes predictions invariant under uniform
-#: feature rescaling); used as an absolute ridge when the scatter is zero.
+#: feature rescaling), or an absolute ridge when the scatter is zero; it must
+#: be finite and positive, as the scatter is singular whenever n <= p.
 DEFAULT_LDA_LAMBDA = 1e-6
 
 
@@ -107,16 +107,18 @@ def fit_lda(train: FeatureMatrix, lda_lambda: float = DEFAULT_LDA_LAMBDA) -> Lda
     """Fit regularized Fisher LDA.
 
     Solves the generalized eigenproblem of between-class versus regularized
-    within-class scatter through the low-rank class-mean factorization, which
-    keeps the cost at one Cholesky solve even for long feature vectors.
+    within-class scatter through the low-rank class-mean factorization, with
+    one ``min(n, p)``-square solve: no p x p matrix for long feature vectors.
     """
+    if not 0 < lda_lambda < np.inf:
+        raise ValueError("lda_lambda must be finite and positive")
     X, y = train.rows, train.labels
     classes = np.unique(y)
     if classes.size < 2:
         raise ValueError("need at least two classes")
     n, p = X.shape
     mu = X.mean(axis=0)
-    scatter = np.zeros((p, p))
+    centred = np.empty((n, p))
     between = np.empty((p, classes.size))
     class_means = np.empty((classes.size, p))
     for k, c in enumerate(classes):
@@ -125,21 +127,22 @@ def fit_lda(train: FeatureMatrix, lda_lambda: float = DEFAULT_LDA_LAMBDA) -> Lda
             raise ValueError("need at least two samples per class")
         mc = Xc.mean(axis=0)
         class_means[k] = mc
-        centered = Xc - mc
-        scatter += centered.T @ centered
+        centred[y == c] = Xc - mc
         between[:, k] = np.sqrt(Xc.shape[0]) * (mc - mu)
-    trace = float(np.trace(scatter))
+    trace = float(np.vdot(centred, centred))
     lam_eff = lda_lambda * trace / p if trace > 0 else float(lda_lambda)
-    scatter[np.diag_indices_from(scatter)] += lam_eff
-    try:
-        factor = cho_factor(scatter, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(
-            "within-class scatter is degenerate after regularization; "
-            "increase the regularization"
-        ) from exc
-    solved = cho_solve(factor, between)
+    if not 0 < lam_eff < np.inf:
+        raise ValueError("feature values are out of range: the scatter over- or underflows")
+    # The centred rows and the class-mean offsets lie in the span of the rows of
+    # X - mu, which the scatter maps into itself: solve on an orthonormal basis of it.
+    basis = np.linalg.qr((X - mu).T)[0]
+    reduced_rows = centred @ basis
+    reduced = reduced_rows.T @ reduced_rows
+    reduced[np.diag_indices_from(reduced)] += lam_eff
+    solved = basis @ np.linalg.solve(reduced, basis.T @ between)
     small = between.T @ solved
+    if not np.all(np.isfinite(small)):
+        raise ValueError("feature values are out of range: the scatter over- or underflows")
     eigvals, eigvecs = np.linalg.eigh(small)
     top = max(float(eigvals[-1]), 0.0)
     keep = eigvals > top * 1e-10 if top > 0 else np.zeros(eigvals.size, dtype=bool)

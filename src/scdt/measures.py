@@ -282,26 +282,22 @@ def measure_from_density(d: GridDensity) -> SignedMeasure:
     mass that overflows."""
     centers = d.bin_centers()
     w = np.abs(d.samples) * d.bin_width
-
-    def part(mask: np.ndarray) -> DiscreteMeasure:
-        if not np.any(mask):
-            return DiscreteMeasure.zero()
-        locs, weights = centers[mask], w[mask]
-        try:
-            m = DiscreteMeasure(locs, weights)
-        except ValueError as exc:
-            if np.any(weights == 0):
-                cause = "a nonzero density value times the bin width underflows to 0"
-            elif not np.all(np.isfinite(weights)):
-                cause = "a density value times the bin width overflows"
-            else:
-                cause = "bin centres collide in floating point"
-            raise RangeError(f"cannot bin the density: {cause}") from exc
-        if not np.isfinite(m.total_mass):
-            raise RangeError("cannot bin the density: the total mass of a part overflows")
-        return m
-
-    return SignedMeasure(part(d.samples > 0), part(d.samples < 0))
+    nonzero = d.samples != 0
+    # Occupied bin centres can collide only where the grid's centres do.
+    collide = not np.all(centers[1:] > centers[:-1])
+    collide = collide and not np.all(np.diff(centers[nonzero]) > 0)
+    for failed, cause in (
+        (collide, "bin centres collide in floating point"),
+        (np.any(nonzero & (w == 0)),
+         "a nonzero density value times the bin width underflows to 0"),
+        (not np.all(np.isfinite(w)), "a density value times the bin width overflows"),
+    ):
+        if failed:
+            raise RangeError(f"cannot bin the density: {cause}")
+    parts = [DiscreteMeasure(centers[m], w[m]) for m in (d.samples > 0, d.samples < 0)]
+    if not all(np.isfinite(m.total_mass) for m in parts):
+        raise RangeError("cannot bin the density: the total mass of a part overflows")
+    return SignedMeasure(*parts)
 
 
 def jordan_parts(s: SignedMeasure) -> Tuple[DiscreteMeasure, DiscreteMeasure]:

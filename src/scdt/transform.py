@@ -170,7 +170,7 @@ def scdt_forward_batch(
     floats as the per-signal atoms, and an empty part gets the (all-zero
     samples, mass 0) convention.  Rows that floating point cannot bin are
     replayed through :func:`measure_from_density`, which raises its own
-    :class:`RangeError` (or :class:`SingularityError`) for the first of them.
+    :class:`RangeError` for the first of them.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 2 or x.shape[1] < 1:

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import lda_primal
 from scdt.classify import FeatureMatrix, featurize, fit_lda, run_experiment
 from scdt.errors import ScdtError
-from scdt.genmodel import GenConfig
+from scdt.genmodel import GenConfig, generate_dataset
 from scdt.measures import GridDensity, measure_from_density
 from scdt.transform import TransformConfig, scdt_forward, scdt_forward_batch
 
@@ -235,6 +236,65 @@ class TestFitLda:
         model = fit_lda(FeatureMatrix(rows, blobs.labels, "raw_signal"))
         padded = np.hstack([blobs.rows, np.full((blobs.rows.shape[0], 2), 7.0)])
         assert np.mean(model.predict(padded) == blobs.labels) == 1.0
+
+    @pytest.mark.parametrize("lda_lambda", [0.0, -1e-6, np.nan, np.inf, -np.inf])
+    def test_lambda_must_be_finite_and_positive(self, lda_lambda):
+        train = self.separated_blobs(np.random.default_rng(0))
+        with pytest.raises(ValueError, match="lda_lambda must be finite and positive"):
+            fit_lda(train, lda_lambda)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-160], ids=["overflow", "underflow"])
+    def test_out_of_range_features_raise_value_error(self, scale):
+        # At 1e200 the squared rows overflow the scatter; at 1e-160 they
+        # underflow to a zero ridge, which would leave it singular.
+        blobs = self.separated_blobs(np.random.default_rng(0))
+        scaled = FeatureMatrix(blobs.rows * scale, blobs.labels, "raw_signal")
+        with np.errstate(over="ignore", under="ignore"):
+            with pytest.raises(ValueError, match="out of range"):
+                fit_lda(scaled)
+
+
+def experiment_split(seed: int, kind: str):
+    """The train and test features of the benchmark dataset on ``seed``,
+    split by index parity as in ``run_experiment``."""
+    features = featurize(generate_dataset(GenConfig(seed=seed)), kind, TransformConfig())
+    even = np.arange(features.labels.size) % 2 == 0
+    return features.subset(even), features.subset(~even)
+
+
+class TestFitLdaAgainstPrimal:
+    """The fit against the primal Cholesky oracle: the same predictions, the
+    same number of directions, and projections equal up to column sign
+    within ``1e-6 * max|projection|``."""
+
+    def assert_matches_primal(self, train, test_rows):
+        model, oracle = fit_lda(train), lda_primal(train.rows, train.labels, 1e-6)
+        assert np.array_equal(model.predict(test_rows), oracle.predict(test_rows))
+        got, want = model.transform(test_rows), oracle.transform(test_rows)
+        assert got.shape == want.shape
+        signs = np.where(np.sum(got * want, axis=0) < 0, -1.0, 1.0)
+        assert np.max(np.abs(got * signs - want)) <= 1e-6 * np.max(np.abs(want))
+        assert model.regularization == pytest.approx(oracle.regularization, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["raw_signal", "scdt"])
+    @pytest.mark.parametrize("seed", [0, 97])
+    def test_benchmark_datasets(self, seed, kind):
+        train, test = experiment_split(seed, kind)
+        assert train.rows.shape[0] <= train.rows.shape[1]
+        self.assert_matches_primal(train, test.rows)
+
+    @pytest.mark.parametrize(
+        "n_per_class, n_constant", [(50, 0), (20, 200)], ids=["n-above-p", "low-rank-rows"]
+    )
+    def test_blobs(self, n_per_class, n_constant):
+        # Three 2-D blobs plus three noise features, and optionally constant
+        # features: 150 rows of 5 features, or 60 rows of rank 5 in 205.
+        blobs = TestFitLda().separated_blobs(np.random.default_rng(4), 3.0, n_per_class)
+        n = blobs.labels.size
+        noise = np.random.default_rng(5).standard_normal((n, 3))
+        rows = np.hstack([blobs.rows, noise, np.full((n, n_constant), 7.0)])
+        train = FeatureMatrix(rows, blobs.labels, "raw_signal")
+        self.assert_matches_primal(train, rows + 0.5)
 
 
 class TestRunExperiment:

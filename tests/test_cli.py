@@ -239,6 +239,16 @@ class TestClassifyDemo:
         assert paths[0][0].read_text() == paths[1][0].read_text()
         assert paths[0][1].read_text() == paths[1][1].read_text()
 
+    def test_nonpositive_lda_lambda_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("SCDT_SEED", raising=False)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"per_class": [4, 4, 4], "n_grid": 16, "n_quantiles": 16,
+                                   "lda_lambda": 0.0}))
+        code = main(["classify-demo", "--config", str(cfg), "--report",
+                     str(tmp_path / "report.json"), "--plots", str(tmp_path / "plots.csv")])
+        assert code == 2
+        assert "lda_lambda must be finite and positive" in capsys.readouterr().err
+
 
 class TestUsage:
     def test_unknown_command_exits_2(self):

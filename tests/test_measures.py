@@ -322,8 +322,10 @@ class TestMeasureFromDensity:
             (GridDensity(0.0, 4.0, np.array([1e308, 1.0])), "bin width overflows"),
             (GridDensity(1e16, 1e16 + 8, np.ones(8)), "collide"),
             (GridDensity(0.0, 2.0, np.array([1e308, 1e308])), "total mass of a part overflows"),
+            (GridDensity(1e16, 1e16 + 8, np.array([1.0, -1.0] * 4)), "bin centres collide"),
         ],
-        ids=["weight-underflow", "weight-overflow", "centre-collision", "mass-overflow"],
+        ids=["weight-underflow", "weight-overflow", "centre-collision", "mass-overflow",
+             "parts-collide"],
     )
     def test_unrepresentable_atoms_raise_range_error(self, density, cause):
         with pytest.raises(RangeError, match=cause):
