@@ -20,13 +20,20 @@ Each checkout's ``src`` is imported in its own interpreter, which dumps:
   at M = 2^17;
 - ``measure_quantiles`` on measures with atoms at +-inf, at the levels
   0, 1, nextafter(1, 0), 5e-324 and random levels;
-- ``w2``, ``d_w2`` and ``d_s`` with zero parts.
+- ``w2``, ``d_w2`` and ``d_s`` with zero parts;
+- ``scdt_inverse`` with an exact plus/minus collision (the error), a
+  near-collision (the warning text and the rebinned density) and a part of
+  mass 5e-324 at M = 4, whose mass / M underflows;
+- ``d_s`` at two grid sizes on measures that were forward-transformed first
+  (under a non-uniform reference), next to ``d_s`` on fresh measures.
 
 Arrays are compared by their bytes, so -0.0 against 0.0 counts as a
 difference; for a differing key of float arrays the largest
 ``|old - new| / max|old|`` is printed too.  A case that raises is recorded
-by exception type and message; one that raises in OLD and succeeds in NEW
-is listed as fixed, not as a mismatch.  Exit status 1 means some output
+by exception type and message, and whether the type is one of the
+package's typed errors (``ScdtError``).  One that raises in OLD and succeeds
+in NEW, or raises a bare ``ValueError`` in OLD and a typed error in NEW, is
+listed as fixed, not as a mismatch.  Exit status 1 means some output
 differs.
 """
 
@@ -37,6 +44,7 @@ import pickle
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -57,10 +65,20 @@ def _large_density(scdt, rng, signed):
 
 
 def _try(fn):
+    from scdt.errors import ScdtError
+
     try:
         return fn()
     except Exception as exc:  # recorded, compared like any other output
-        return ("raised", type(exc).__name__, str(exc))
+        return ("raised", type(exc).__name__, str(exc), isinstance(exc, ScdtError))
+
+
+def _with_warnings(fn):
+    """``fn()`` (or how it raised) and the messages of the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = _try(fn)
+    return result, [str(w.message) for w in caught]
 
 
 def _report(r):
@@ -146,6 +164,33 @@ def dump():
             out[f"d_s/{n_q}/{i}"] = _report(scdt.d_s(
                 scdt.SignedMeasure(p, zero), scdt.SignedMeasure(zero, p.scaled(2.0)), n_q))
         out[f"d_w2/{n_q}/zero_zero"] = _report(scdt.d_w2(zero, zero, n_q))
+
+    def inverse(plus, minus, n_q=8):
+        t = scdt.ScdtResult(scdt.CdtResult(*plus), scdt.CdtResult(*minus))
+        back = scdt.scdt_inverse(t, scdt.TransformConfig(n_quantiles=n_q))
+        return scdt.rebin(back, 0.0, 4.0, 16).samples
+
+    ones = np.ones(8)
+    out["inverse/exact_collision"] = _with_warnings(lambda: inverse((ones, 1.0), (ones, 2.0)))
+    out["inverse/near_collision"] = _with_warnings(
+        lambda: inverse((ones, 1.0), (np.full(8, 1.0 + 5e-10), 2.0)))
+    out["inverse/tiny_mass"] = _with_warnings(
+        lambda: inverse((np.ones(4), 5e-324), (np.zeros(4), 0.0), n_q=4))
+
+    ref = scdt.ReferenceMeasure(np.array([-1.0, 0.5, 2.0]), np.array([0.0, 0.3, 2.5]))
+    for k in range(3):
+        pair = []
+        for first in (True, False):
+            densities = [_large_density(scdt, np.random.default_rng([k, j, 5]), j == 0)
+                         for j in range(2)]
+            measures = [scdt.measure_from_density(d) for d in densities]
+            if first:
+                for s in measures:
+                    scdt.scdt_forward(s, scdt.TransformConfig(ref, n_quantiles=LARGE_M))
+            pair.append(measures)
+        for n_q in (LARGE_M, 1024):
+            for name, (a, b) in zip(("forward_first", "fresh"), pair):
+                out[f"memo/d_s/{k}/{n_q}/{name}"] = _report(scdt.d_s(a, b, n_q))
     return out
 
 
@@ -163,7 +208,12 @@ def _same(a, b):
 
 
 def _raised(v):
-    return isinstance(v, tuple) and len(v) == 3 and v[0] == "raised"
+    """The ``_try`` record of an exception, also inside a ``_with_warnings`` pair."""
+    if isinstance(v, tuple) and len(v) == 2 and isinstance(v[1], list):
+        v = v[0]
+    if isinstance(v, tuple) and len(v) == 4 and isinstance(v[0], str) and v[0] == "raised":
+        return v
+    return None
 
 
 def _relative_difference(a, b):
@@ -201,12 +251,14 @@ def main(argv):
     old, new = results
     mismatched, fixed = [], []
     for key in sorted(old.keys() | new.keys()):
-        if key in old and key in new and _raised(old[key]) and not _raised(new[key]):
-            fixed.append(f"{key}: {old[key][1]}: {old[key][2]}")
+        was, now = _raised(old.get(key)), _raised(new.get(key))
+        if key in new and was and (not now or (not was[3] and now[3])):
+            fixed.append(f"{key}: {was[1]}: {was[2]}" + (f" -> {now[1]}: {now[2]}" if now else ""))
         elif key not in old or key not in new or not _same(old[key], new[key]):
             mismatched.append(key)
     print(f"{len(old.keys() | new.keys())} outputs compared; {len(mismatched)} differ; "
-          f"{len(fixed)} raised in OLD only")
+          f"{len(fixed)} fixed (raised in OLD only, or a bare ValueError in OLD and a typed "
+          "error in NEW)")
     for line in fixed:
         print("  fixed:", line)
     for key in mismatched:

@@ -20,9 +20,9 @@ class SingularityError(ScdtError):
 
 
 class RangeError(ScdtError):
-    """Atoms fall outside the requested grid (including infinite locations),
-    or a density's atoms do not fit in floating point: weights that underflow
-    to 0 or overflow, bin centres that collide, or a part mass that overflows."""
+    """Atoms fall outside the requested grid (including infinite locations), or atoms do not
+    fit in floating point: weights that underflow to 0 or overflow (a density's, or mass / M
+    on inversion), bin centres that collide, or a part mass that overflows."""
 
 
 class MetricDomainError(ScdtError):

@@ -57,21 +57,23 @@ class DiscreteMeasure:
             raise ValueError("atom locations must be strictly increasing (merge duplicates first)")
         if np.any(w <= 0) or np.any(~np.isfinite(w)):
             raise ValueError("atom weights must be finite and positive")
-        if self.total_mass is None:
-            total = float(np.cumsum(w)[-1]) if w.size else 0.0
-        else:
-            # Pairwise summation errs by about log(n) * eps; a cumulative sum
-            # by up to n * eps, beyond MASS_RTOL for 1e5 equal weights.
-            total, computed = float(self.total_mass), float(np.sum(w))
-            if abs(total - computed) > MASS_RTOL * max(abs(total), abs(computed), 1.0):
-                raise ValueError(
-                    f"total_mass {total} does not match the sum of weights {computed}"
-                )
+        total = _checked_total(self.total_mass, w)
         locs.setflags(write=False)
         w.setflags(write=False)
-        object.__setattr__(self, "locations", locs)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "total_mass", total)
+        self.__dict__.update(locations=locs, weights=w, total_mass=total)
+
+    @classmethod
+    def _trusted(cls, locations: np.ndarray, weights: np.ndarray, total_mass: float):
+        """A measure of arrays the library built and checked; no ``__post_init__``."""
+        locations.setflags(write=False)
+        weights.setflags(write=False)
+        m = object.__new__(cls)
+        m.__dict__.update(locations=locations, weights=weights, total_mass=total_mass)
+        return m
+
+    def __getstate__(self) -> dict:
+        # The transform memo of cdt_positive is not a field; pickles leave it out.
+        return {k: v for k, v in self.__dict__.items() if k != "_memo"}
 
     @classmethod
     def from_atoms(cls, locations: ArrayLike, weights: ArrayLike) -> "DiscreteMeasure":
@@ -116,15 +118,14 @@ class SignedMeasure:
     negative_part: DiscreteMeasure
 
     def __post_init__(self) -> None:
-        # Atom locations are strictly increasing, hence unique.
-        overlap = np.intersect1d(
-            self.positive_part.locations, self.negative_part.locations, assume_unique=True
-        )
-        if overlap.size:
-            raise SingularityError(
-                f"positive and negative parts share {overlap.size} atom location(s), "
-                f"e.g. {overlap[0]}"
-            )
+        _support_gap(self.positive_part.locations, self.negative_part.locations)
+
+    @classmethod
+    def _trusted(cls, positive_part: DiscreteMeasure, negative_part: DiscreteMeasure):
+        """A signed measure of parts already checked disjoint."""
+        s = object.__new__(cls)
+        s.__dict__.update(positive_part=positive_part, negative_part=negative_part)
+        return s
 
     @classmethod
     def zero(cls) -> "SignedMeasure":
@@ -280,24 +281,27 @@ def measure_from_density(d: GridDensity) -> SignedMeasure:
     Raises :class:`RangeError` where floating point cannot hold the atoms: a
     weight that underflows to 0 or overflows, colliding bin centres, or a part
     mass that overflows."""
-    centers = d.bin_centers()
-    w = np.abs(d.samples) * d.bin_width
-    nonzero = d.samples != 0
-    # Occupied bin centres can collide only where the grid's centres do.
-    collide = not np.all(centers[1:] > centers[:-1])
-    collide = collide and not np.all(np.diff(centers[nonzero]) > 0)
+    width = d.bin_width
+    # Centre i, bin_centers()[i], is t0 + (i + 0.5) * width rounded twice and non-decreasing
+    # in i; two centres can round to one float only if width is within a few ulps of them.
+    collide = not width > 4 * np.spacing(abs(d.t0) + 2 * d.n_bins * width)
+    collide = collide and not np.all(np.diff(d.bin_centers()[d.samples != 0]) > 0)
+    idx = [np.flatnonzero(d.samples > 0), np.flatnonzero(d.samples < 0)]
+    w = [np.abs(d.samples[i]) * width for i in idx]
+    totals = [_checked_total(None, part) for part in w]
     for failed, cause in (
         (collide, "bin centres collide in floating point"),
-        (np.any(nonzero & (w == 0)),
+        (any(np.any(part == 0) for part in w),
          "a nonzero density value times the bin width underflows to 0"),
-        (not np.all(np.isfinite(w)), "a density value times the bin width overflows"),
+        (not all(np.all(np.isfinite(part)) for part in w),
+         "a density value times the bin width overflows"),
+        (not np.all(np.isfinite(totals)), "the total mass of a part overflows"),
     ):
         if failed:
             raise RangeError(f"cannot bin the density: {cause}")
-    parts = [DiscreteMeasure(centers[m], w[m]) for m in (d.samples > 0, d.samples < 0)]
-    if not all(np.isfinite(m.total_mass) for m in parts):
-        raise RangeError("cannot bin the density: the total mass of a part overflows")
-    return SignedMeasure(*parts)
+    return SignedMeasure._trusted(*(
+        DiscreteMeasure._trusted(d.t0 + (i + 0.5) * width, part, total)
+        for i, part, total in zip(idx, w, totals)))
 
 
 def jordan_parts(s: SignedMeasure) -> Tuple[DiscreteMeasure, DiscreteMeasure]:
@@ -318,13 +322,45 @@ def pushforward(samples: ArrayLike, mass: float) -> DiscreteMeasure:
     if arr.size > 1 and np.any(arr[1:] < arr[:-1]):
         raise ValueError("samples must be non-decreasing")
     mass = float(mass)
-    if not mass >= 0:
-        raise ValueError("mass must be nonnegative")
+    if not 0 <= mass < np.inf:
+        raise ValueError("mass must be finite and nonnegative")
     if mass == 0:
         return DiscreteMeasure.zero()
-    uniq, counts = np.unique(arr, return_counts=True)
-    per_sample = mass / arr.size
-    return DiscreteMeasure(uniq, counts * per_sample, total_mass=mass)
+    starts = np.flatnonzero(np.concatenate(([True], arr[1:] != arr[:-1])))
+    weights = np.diff(np.append(starts, arr.size)) * (mass / arr.size)
+    for failed, cause in ((mass / arr.size == 0, "underflows to 0"),
+                          (not np.all(np.isfinite(weights)), "times a count overflows")):
+        if failed:
+            raise RangeError(f"cannot push mass {mass} onto {arr.size} samples: mass / M {cause}")
+    return DiscreteMeasure._trusted(arr[starts], weights, _checked_total(mass, weights))
+
+
+def _checked_total(total_mass: Optional[float], w: np.ndarray) -> float:
+    """The cumulative sum of ``w``, or ``total_mass`` once checked against their sum."""
+    if total_mass is None:
+        return float(np.cumsum(w)[-1]) if w.size else 0.0
+    # Pairwise summation errs by about log(n) * eps; a cumulative sum
+    # by up to n * eps, beyond MASS_RTOL for 1e5 equal weights.
+    total, computed = float(total_mass), float(np.sum(w))
+    if abs(total - computed) > MASS_RTOL * max(abs(total), abs(computed), 1.0):
+        raise ValueError(f"total_mass {total} does not match the sum of weights {computed}")
+    return total
+
+
+def _support_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """Smallest gap between entries of two strictly increasing arrays, from one
+    search of ``a`` in ``b``; a shared entry raises :class:`SingularityError`."""
+    if not a.size or not b.size:
+        return np.inf
+    idx = np.searchsorted(b, a)
+    above = b[np.minimum(idx, b.size - 1)]  # b[-1] < a where idx == b.size
+    below = b[np.maximum(idx - 1, 0)]  # b[0] >= a where idx == 0
+    common = above == a
+    if np.any(common):
+        raise SingularityError(f"positive and negative parts share {np.count_nonzero(common)} "
+                               f"atom location(s), e.g. {a[common][0]}")
+    # Unequal entries of which one is infinite are infinitely far apart.
+    return float(min(np.min(np.abs(above - a)), np.min(np.abs(a - below))))
 
 
 def rebin(m: SignedMeasure, t0: float, t1: float, n_bins: int) -> GridDensity:

@@ -62,10 +62,9 @@ def _require_finite_atoms(m: DiscreteMeasure, name: str) -> None:
         )
 
 
-def _quantile_l2(nu: DiscreteMeasure, eta: DiscreteMeasure, n_quantiles: int) -> float:
+def _quantile_l2(nu: DiscreteMeasure, eta: DiscreteMeasure, cfg: TransformConfig) -> float:
     """Root mean square gap between the two measures' transform samples on
-    the midpoint grid of ``n_quantiles`` levels."""
-    cfg = TransformConfig(n_quantiles=n_quantiles)
+    the midpoint grid of ``cfg``."""
     diff = cdt_positive(nu, cfg).samples - cdt_positive(eta, cfg).samples
     return float(np.sqrt(np.mean(diff * diff)))
 
@@ -79,7 +78,7 @@ def w2(nu: DiscreteMeasure, eta: DiscreteMeasure, n_quantiles: int = DEFAULT_N_Q
                 f"w2 requires probability measures; {name} has mass {m.total_mass}"
             )
         _require_finite_atoms(m, name)
-    return _quantile_l2(nu, eta, n_quantiles)
+    return _quantile_l2(nu, eta, TransformConfig(n_quantiles=n_quantiles))
 
 
 def d_w2(
@@ -93,9 +92,13 @@ def d_w2(
     L2 norm of the other's normalized quantile function; between two zero
     measures the distance is 0.
     """
+    return _d_w2(nu, eta, TransformConfig(n_quantiles=n_quantiles))
+
+
+def _d_w2(nu: DiscreteMeasure, eta: DiscreteMeasure, cfg: TransformConfig) -> DistanceReport:
     _require_finite_atoms(nu, "first argument")
     _require_finite_atoms(eta, "second argument")
-    quantile_term = _quantile_l2(nu, eta, n_quantiles)
+    quantile_term = _quantile_l2(nu, eta, cfg)
     mass_term = abs(nu.total_mass - eta.total_mass)
     return DistanceReport(
         value=math.hypot(quantile_term, mass_term),
@@ -108,8 +111,9 @@ def d_s(
 ) -> DistanceReport:
     """Distance between signed measures: the root of the summed squared
     positive-part and negative-part distances."""
-    plus = d_w2(a.positive_part, b.positive_part, n_quantiles).value
-    minus = d_w2(a.negative_part, b.negative_part, n_quantiles).value
+    cfg = TransformConfig(n_quantiles=n_quantiles)
+    plus = _d_w2(a.positive_part, b.positive_part, cfg).value
+    minus = _d_w2(a.negative_part, b.negative_part, cfg).value
     return DistanceReport(
         value=math.hypot(plus, minus),
         components={"plus": plus, "minus": minus},

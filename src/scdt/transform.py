@@ -21,6 +21,7 @@ from .measures import (
     GridDensity,
     ReferenceMeasure,
     SignedMeasure,
+    _support_gap,
     jordan_parts,
     measure_from_density,
     measure_quantiles,
@@ -144,10 +145,16 @@ def cdt_probability(nu: DiscreteMeasure, cfg: TransformConfig) -> np.ndarray:
 
 def cdt_positive(nu: DiscreteMeasure, cfg: TransformConfig) -> CdtResult:
     """Transform of a finite positive measure: normalized quantile samples and
-    the total mass; the zero measure maps to the (0, 0) convention."""
+    the total mass; the zero measure maps to the (0, 0) convention.  ``nu``
+    keeps the result for the last ``n_quantiles`` asked: the samples do not
+    depend on the reference."""
     if nu.is_zero:
         return CdtResult.zero(cfg.n_quantiles)
-    return CdtResult(measure_quantiles(nu, cfg.quantiles), nu.total_mass)
+    memo = nu.__dict__.get("_memo")
+    if memo is None or memo[0] != cfg.n_quantiles:
+        memo = (cfg.n_quantiles, CdtResult(measure_quantiles(nu, cfg.quantiles), nu.total_mass))
+        nu.__dict__["_memo"] = memo
+    return memo[1]
 
 
 def scdt_forward(s: SignedMeasure, cfg: TransformConfig) -> ScdtResult:
@@ -219,12 +226,13 @@ def scdt_inverse(t: ScdtResult, cfg: TransformConfig) -> SignedMeasure:
     """Invert a signed-measure transform part-wise.
 
     The two reconstructed parts must have disjoint supports (mutual
-    singularity); an exact support collision raises
-    :class:`SingularityError` (from :class:`SignedMeasure`), and distinct
+    singularity); an exact support collision raises the
+    :class:`SingularityError` of :class:`SignedMeasure`, and distinct
     supports closer than ``1e-9`` emit a :class:`SingularityWarning`.
     """
-    s = SignedMeasure(cdt_inverse(t.plus, cfg), cdt_inverse(t.minus, cfg))
-    gap = _min_gap(s.positive_part.locations, s.negative_part.locations)
+    plus, minus = cdt_inverse(t.plus, cfg), cdt_inverse(t.minus, cfg)
+    gap = _support_gap(plus.locations, minus.locations)
+    s = SignedMeasure._trusted(plus, minus)
     if gap < COLLISION_WARN_GAP:
         warnings.warn(
             f"positive and negative supports are only {gap:.3g} apart; "
@@ -233,21 +241,3 @@ def scdt_inverse(t: ScdtResult, cfg: TransformConfig) -> SignedMeasure:
             stacklevel=2,
         )
     return s
-
-
-def _min_gap(a: np.ndarray, b: np.ndarray) -> float:
-    """Smallest distance between entries of two sorted arrays with no exact
-    common entries."""
-    a = a[np.isfinite(a)]
-    b = b[np.isfinite(b)]
-    if not a.size or not b.size:
-        return np.inf
-    idx = np.searchsorted(b, a)
-    best = np.inf
-    right = idx < b.size
-    if np.any(right):
-        best = min(best, float(np.min(b[idx[right]] - a[right])))
-    left = idx > 0
-    if np.any(left):
-        best = min(best, float(np.min(a[left] - b[idx[left] - 1])))
-    return best

@@ -12,6 +12,8 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import linprog
 
 from scdt.classify import LdaModel
+from scdt.errors import SingularityError
+from scdt.measures import DiscreteMeasure
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -144,3 +146,66 @@ def lda_primal(X, y, lda_lambda: float) -> LdaModel:
     order = np.nonzero(eigvals > top * 1e-10)[0][::-1] if top > 0 else np.empty(0, dtype=int)
     projection = (solved @ eigvecs[:, order]) / np.sqrt(eigvals[order])
     return LdaModel(projection, class_means @ projection, classes, lam_eff)
+
+
+def measure_from_density_by_masks(d):
+    """The two parts of a density's signed measure by boolean-mask gathers
+    of ``bin_centers()`` and ``|samples| * bin_width``, each checked by the
+    validating ``DiscreteMeasure`` constructor, then screened for a part mass
+    that overflows and for parts that share a location (``intersect1d``).
+    Any fault raises ``ValueError``."""
+    centers = d.bin_centers()
+    w = np.abs(d.samples) * d.bin_width
+    parts = [DiscreteMeasure(centers[m], w[m]) for m in (d.samples > 0, d.samples < 0)]
+    if not all(np.isfinite(p.total_mass) for p in parts):
+        raise ValueError("the total mass of a part overflows")
+    if np.intersect1d(parts[0].locations, parts[1].locations).size:
+        raise ValueError("the parts share a location")
+    return parts
+
+
+def min_gap_by_neighbours(a, b) -> float:
+    """Smallest distance between the finite entries of two sorted arrays
+    with no common entry: the nearest entry of ``b`` on either side of each
+    finite entry of ``a``."""
+    a, b = a[np.isfinite(a)], b[np.isfinite(b)]
+    if not a.size or not b.size:
+        return np.inf
+    idx = np.searchsorted(b, a)
+    best = np.inf
+    right, left = idx < b.size, idx > 0
+    if np.any(right):
+        best = min(best, float(np.min(b[idx[right]] - a[right])))
+    if np.any(left):
+        best = min(best, float(np.min(a[left] - b[idx[left] - 1])))
+    return best
+
+
+def scdt_inverse_by_unique(t, cfg):
+    """``(positive part, negative part, warning messages)`` of the inverse
+    transform: ``np.unique`` merges equal samples into atoms of weight
+    ``count * mass / M`` checked by the validating ``DiscreteMeasure``
+    constructor, ``np.intersect1d`` finds shared atoms (``SingularityError``)
+    and ``min_gap_by_neighbours`` decides the near-collision warning."""
+    parts = []
+    for c in (t.plus, t.minus):
+        if c.samples.size != cfg.n_quantiles:
+            raise ValueError(f"transform carries {c.samples.size} samples but the config "
+                             f"expects {cfg.n_quantiles}")
+        if c.is_zero:
+            parts.append(DiscreteMeasure.zero())
+            continue
+        uniq, counts = np.unique(c.samples, return_counts=True)
+        parts.append(DiscreteMeasure(uniq, counts * (c.mass / c.samples.size), total_mass=c.mass))
+    overlap = np.intersect1d(parts[0].locations, parts[1].locations, assume_unique=True)
+    if overlap.size:
+        raise SingularityError(
+            f"positive and negative parts share {overlap.size} atom location(s), "
+            f"e.g. {overlap[0]}"
+        )
+    gap = min_gap_by_neighbours(parts[0].locations, parts[1].locations)
+    warned = []
+    if gap < 1e-9:
+        warned.append(f"positive and negative supports are only {gap:.3g} apart; "
+                      "mutual singularity is numerically borderline")
+    return parts[0], parts[1], warned

@@ -80,6 +80,14 @@ class TestTransformInverse:
         assert main(["inverse", "--input", str(tj), "--output",
                      str(tmp_path / "o.csv"), "--grid", "0,2,4"]) == 4
 
+    def test_mass_underflow_exit_4(self, tmp_path, capsys):
+        tiny = ScdtResult(CdtResult(np.ones(4), 5e-324), CdtResult.zero(4))
+        tj = tmp_path / "t.json"
+        write_transform_json(tj, tiny, TransformConfig(n_quantiles=4))
+        assert main(["inverse", "--input", str(tj), "--output",
+                     str(tmp_path / "o.csv"), "--grid", "0,2,4"]) == 4
+        assert "mass / M underflows to 0" in capsys.readouterr().err
+
     def test_tampered_version_exit_2(self, tmp_path, signal_csv):
         src = signal_csv("in.csv", self.SAMPLES)
         tj = tmp_path / "t.json"

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import discrete_measures, reference_measures, signed_measures
-from oracles import cdf_scan, quantile_scan
+from oracles import cdf_scan, measure_from_density_by_masks, quantile_scan
 from scdt.errors import InvalidReferenceError, RangeError, SingularityError
 from scdt.measures import (
     DiscreteMeasure,
@@ -331,6 +331,38 @@ class TestMeasureFromDensity:
         with pytest.raises(RangeError, match=cause):
             measure_from_density(density)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @given(
+        st.floats(min_value=-1e20, max_value=1e20),
+        st.one_of(
+            st.floats(min_value=1e-3, max_value=1e3),
+            st.integers(min_value=1, max_value=64).map(lambda k: k * 2.0**-52),
+        ),
+        st.lists(st.one_of(st.just(0.0), st.floats(min_value=-1e3, max_value=1e3)),
+                 min_size=1, max_size=40),
+        st.sampled_from([None] * 4 + [1e-320, -1e-320, 1e308, -1e308]),
+    )
+    def test_parts_equal_the_masked_gathers_bit_for_bit(
+        self, t0, relative_span, samples, extreme
+    ):
+        # Spans of a few ulps of t0 make neighbouring bin centres collide.
+        t1 = t0 + relative_span * max(abs(t0), 1.0)
+        if not (np.isfinite(t1) and t1 > t0):
+            return
+        d = GridDensity(t0, t1, np.array(samples + [extreme] * (extreme is not None)))
+        try:
+            want = measure_from_density_by_masks(d)
+        except ValueError:
+            with pytest.raises(RangeError):
+                measure_from_density(d)
+            return
+        s = measure_from_density(d)
+        for part, expected in zip((s.positive_part, s.negative_part), want):
+            assert part.locations.tobytes() == expected.locations.tobytes()
+            assert part.weights.tobytes() == expected.weights.tobytes()
+            assert part.total_mass == expected.total_mass
+            assert not part.locations.flags.writeable and not part.weights.flags.writeable
+
 
 class TestPushforward:
     def test_constant_zero_map_gives_delta(self):
@@ -360,6 +392,39 @@ class TestPushforward:
     def test_rejects_negative_mass(self):
         with pytest.raises(ValueError):
             pushforward(np.zeros(4), -1.0)
+
+    def test_rejects_infinite_mass(self):
+        with pytest.raises(ValueError, match="mass must be finite and nonnegative"):
+            pushforward(np.zeros(4), POS_INF)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "samples, mass, cause",
+        [
+            (np.ones(4), 5e-324, "mass / M underflows to 0"),
+            (np.ones(3), np.finfo(float).max, "mass / M times a count overflows"),
+        ],
+        ids=["underflow", "overflow"],
+    )
+    def test_unrepresentable_weights_raise_range_error(self, samples, mass, cause):
+        with pytest.raises(RangeError, match=cause):
+            pushforward(samples, mass)
+
+    @given(
+        st.lists(
+            st.sampled_from([NEG_INF, -2.5, -1.0, 0.0, 5e-324, 1.0, 1.0 + 2**-52, 7.0, POS_INF]),
+            min_size=1,
+            max_size=60,
+        ),
+        st.floats(min_value=1e-300, max_value=1e300),
+    )
+    def test_runs_match_np_unique(self, samples, mass):
+        arr = np.sort(np.array(samples))
+        m = pushforward(arr, mass)
+        uniq, counts = np.unique(arr, return_counts=True)
+        assert m.locations.tobytes() == uniq.tobytes()
+        assert m.weights.tobytes() == (counts * (mass / arr.size)).tobytes()
+        assert m.total_mass == mass
 
     @given(
         st.lists(

@@ -11,7 +11,7 @@ from hypothesis import given
 
 from conftest import probability_measures, signed_measures
 from scdt.errors import MetricDomainError
-from scdt.measures import DiscreteMeasure, SignedMeasure
+from scdt.measures import DiscreteMeasure, GridDensity, SignedMeasure, measure_from_density
 from scdt.metrics import DistanceReport, d_s, d_w2, transform_l2, w2
 from scdt.steps import POS_INF
 from scdt.transform import CdtResult, ScdtResult, TransformConfig, scdt_forward
@@ -149,6 +149,28 @@ class TestDS:
             dab = d_s(a, b, n_quantiles=256).value
             dbc = d_s(b, c, n_quantiles=256).value
             assert dac <= dab + dbc + 1e-9
+
+
+class TestDSAfterForward:
+    """``d_s`` reads the transform samples a forward transform left on the
+    measures; the values must not depend on whether one ran first."""
+
+    @staticmethod
+    def _pair():
+        rng = np.random.default_rng(7)
+        return [measure_from_density(GridDensity(0.0, 3.0, rng.standard_normal(500) + shift))
+                for shift in (0.0, 0.4)]
+
+    @pytest.mark.parametrize("first_m", [256, 1024])
+    def test_equals_fresh_measures_byte_for_byte(self, first_m):
+        a, b = self._pair()
+        for s in (a, b):
+            scdt_forward(s, TransformConfig(n_quantiles=first_m))
+        fresh_a, fresh_b = self._pair()
+        for m in (256, 1024):
+            got, want = d_s(a, b, m), d_s(fresh_a, fresh_b, m)
+            assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
+            assert got.components == want.components
 
 
 class TestTransformL2:

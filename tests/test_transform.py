@@ -3,14 +3,18 @@ zero-measure convention, round trips, and singularity handling."""
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import probability_measures, signed_measures
-from oracles import quantile_scan
-from scdt.errors import SingularityError, SingularityWarning
+from oracles import quantile_scan, scdt_inverse_by_unique
+from scdt.errors import RangeError, ScdtError, SingularityError, SingularityWarning
 from scdt.measures import (
     DiscreteMeasure,
     GridDensity,
@@ -327,3 +331,148 @@ class TestInverse:
         assert back.negative_part.total_mass == pytest.approx(
             s.negative_part.total_mass, rel=1e-12
         )
+
+    def test_mass_per_sample_underflow_raises_range_error(self):
+        # 5e-324 / 4 rounds to 0: no atom weight can hold the part's mass.
+        cfg = TransformConfig(n_quantiles=4)
+        t = ScdtResult(CdtResult(np.ones(4), 5e-324), CdtResult.zero(4))
+        with pytest.raises(RangeError, match="mass / M underflows to 0"):
+            scdt_inverse(t, cfg)
+
+
+@st.composite
+def transform_pairs(draw):
+    """An ``ScdtResult`` whose rows are drawn, with repeats, from a few base
+    values (plus) and the same values moved by 0, one ulp, 1e-10 or 3 either
+    way (minus), so rows have ties and runs and the parts share locations,
+    sit closer than the warning gap on either side, or stay apart.  Either
+    part may be zero, and ``+-inf`` samples occur.  Signed zeros are left
+    out: which zero names a run of both is not part of the contract."""
+    m = draw(st.integers(min_value=2, max_value=48))
+    base = draw(st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=5))
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    move = draw(st.sampled_from([lambda x: x, lambda x: np.nextafter(x, sign * np.inf),
+                                 lambda x: x + sign * 1e-10, lambda x: x + sign * 3.0]))
+    parts = []
+    for pool in ([x + 0.0 for x in base], [move(x) + 0.0 for x in base]):
+        if draw(st.integers(min_value=0, max_value=5)) == 0:
+            parts.append(CdtResult.zero(m))
+            continue
+        pool += draw(st.sampled_from([[], [-np.inf], [np.inf], [-np.inf, np.inf]]))
+        row = np.sort(draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m)))
+        parts.append(CdtResult(row, draw(st.floats(min_value=1e-300, max_value=1e300))))
+    return ScdtResult(*parts)
+
+
+def _outcome(fn):
+    """``(result or (error type, message), SingularityWarning messages)``."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = fn()
+        except ValueError as exc:
+            result = (type(exc), str(exc))
+    return result, [str(w.message) for w in caught if w.category is SingularityWarning]
+
+
+class TestInverseAgainstUniqueOracle:
+    """``scdt_inverse`` finds runs of equal samples in one pass and checks
+    both parts with one search; the oracle uses ``np.unique``,
+    ``np.intersect1d`` and a separate gap search."""
+
+    @given(transform_pairs())
+    def test_parts_errors_and_warnings_match(self, t):
+        cfg = TransformConfig(n_quantiles=t.n_quantiles)
+        got, warned = _outcome(lambda: scdt_inverse(t, cfg))
+        try:
+            *want, want_warned = scdt_inverse_by_unique(t, cfg)
+        except ScdtError as exc:
+            assert got == (type(exc), str(exc)) and warned == []
+            return
+        for part, expected in zip((got.positive_part, got.negative_part), want):
+            assert part.locations.tobytes() == expected.locations.tobytes()
+            assert part.weights.tobytes() == expected.weights.tobytes()
+            assert part.total_mass == expected.total_mass
+        assert warned == want_warned
+
+    @given(transform_pairs())
+    def test_rebinned_inverse_matches(self, t):
+        cfg = TransformConfig(n_quantiles=t.n_quantiles)
+
+        def oracle():
+            plus, minus, _ = scdt_inverse_by_unique(t, cfg)
+            return rebin(SignedMeasure(plus, minus), -1e3, 1e3 + 4, 37).samples
+
+        got = _outcome(lambda: rebin(scdt_inverse(t, cfg), -1e3, 1e3 + 4, 37).samples)[0]
+        want = _outcome(oracle)[0]
+        if isinstance(want, np.ndarray):
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert got == want
+
+    @pytest.mark.parametrize(
+        "plus, minus",
+        [
+            ([0.0, 1.0, 1.0, 2.0], [1.0, 1.0, 3.0, 3.0]),
+            ([0.0, 1.0, 1.0, 2.0], [np.nextafter(1.0, 2.0)] * 4),
+            ([-np.inf, 1.0, 2.0, np.inf], [-np.inf, 3.0, 4.0, 5.0]),
+            ([-np.inf, 1.0, 2.0, 2.0], [2.0 + 1e-10, 3.0, np.inf, np.inf]),
+        ],
+        ids=["exact-collision", "one-ulp-apart", "shared-minus-inf", "near-collision-with-infs"],
+    )
+    def test_hand_picked_supports_match(self, plus, minus):
+        t = ScdtResult(CdtResult(np.array(plus), 1.0), CdtResult(np.array(minus), 2.0))
+        cfg = TransformConfig(n_quantiles=4)
+        got, warned = _outcome(lambda: scdt_inverse(t, cfg))
+        try:
+            *want, want_warned = scdt_inverse_by_unique(t, cfg)
+        except ScdtError as exc:
+            assert got == (type(exc), str(exc))
+            return
+        assert [p.locations.tobytes() for p in (got.positive_part, got.negative_part)] == [
+            p.locations.tobytes() for p in want]
+        assert warned == want_warned != []
+
+
+class TestTransformMemo:
+    """``cdt_positive`` keeps its last result on the measure."""
+
+    def _measure(self, n=300, seed=0):
+        rng = np.random.default_rng(seed)
+        return measure_from_density(GridDensity(-1.0, 2.0, rng.standard_normal(n)))
+
+    def test_same_arrays_for_any_reference(self):
+        s = self._measure()
+        first = scdt_forward(s, TransformConfig(n_quantiles=128))
+        other = TransformConfig(ReferenceMeasure.uniform(-3.0, 5.0, mass=2.0), n_quantiles=128)
+        again = scdt_forward(s, other)
+        assert again.plus is first.plus and again.minus is first.minus
+        fresh = scdt_forward(self._measure(), other)
+        assert again.plus.samples.tobytes() == fresh.plus.samples.tobytes()
+
+    def test_second_grid_size_gets_its_own_samples(self):
+        s = self._measure()
+        small = cdt_positive(s.positive_part, TransformConfig(n_quantiles=64))
+        large = cdt_positive(s.positive_part, TransformConfig(n_quantiles=256))
+        assert small.samples.size == 64 and large.samples.size == 256
+        fresh = self._measure().positive_part
+        for m, got in ((64, small), (256, large)):
+            want = cdt_positive(fresh, TransformConfig(n_quantiles=m))
+            assert got.samples.tobytes() == want.samples.tobytes()
+        back = cdt_positive(s.positive_part, TransformConfig(n_quantiles=64))
+        assert back.samples.tobytes() == small.samples.tobytes()
+
+    def test_memo_is_not_a_field(self):
+        s = self._measure()
+        plus = s.positive_part
+        before = repr(plus)
+        scdt_forward(s, TransformConfig(n_quantiles=32))
+        assert "_memo" in vars(plus)
+        assert repr(plus) == before
+        assert [f.name for f in dataclasses.fields(plus)] == ["locations", "weights", "total_mass"]
+        assert "_memo" not in vars(dataclasses.replace(plus))
+        copy = pickle.loads(pickle.dumps(plus))
+        assert "_memo" not in vars(copy)
+        assert copy.locations.tobytes() == plus.locations.tobytes()
+        assert copy.total_mass == plus.total_mass
+        assert pickle.dumps(copy) == pickle.dumps(plus)
