@@ -25,7 +25,13 @@ Each checkout's ``src`` is imported in its own interpreter, which dumps:
   near-collision (the warning text and the rebinned density) and a part of
   mass 5e-324 at M = 4, whose mass / M underflows;
 - ``d_s`` at two grid sizes on measures that were forward-transformed first
-  (under a non-uniform reference), next to ``d_s`` on fresh measures.
+  (under a non-uniform reference), next to ``d_s`` on fresh measures;
+- ``fit_lda`` on three-class blobs with more rows than features
+  (``n-above-p``), on blobs padded with constant features to fewer rows than
+  features (``low-rank-rows``) and on the seed-0 transform features at
+  M = 4096 (p = 8194): the held-out predictions, the number of directions and
+  the regularization under ``fit_lda/<name>``, and the projection matrix
+  under ``fit_lda/<name>/projection``.
 
 Arrays are compared by their bytes, so -0.0 against 0.0 counts as a
 difference; for a differing key of float arrays the largest
@@ -83,6 +89,19 @@ def _with_warnings(fn):
 
 def _report(r):
     return (r.value, r.components)
+
+
+def _blobs(scdt, n_per_class, n_constant):
+    """Training features of three 2-D blobs plus three noise features and
+    ``n_constant`` features that hold 7.0, and the same rows moved by 0.5 to
+    predict (the ``test_blobs`` cases of the test suite)."""
+    rng = np.random.default_rng(4)
+    centres = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
+    rows = np.vstack([c + 3.0 * rng.standard_normal((n_per_class, 2)) for c in centres])
+    labels = np.repeat(np.arange(3), n_per_class)
+    noise = np.random.default_rng(5).standard_normal((labels.size, 3))
+    rows = np.hstack([rows, noise, np.full((labels.size, n_constant), 7.0)])
+    return scdt.classify.FeatureMatrix(rows, labels, "raw_signal"), rows + 0.5
 
 
 def dump():
@@ -191,6 +210,17 @@ def dump():
         for n_q in (LARGE_M, 1024):
             for name, (a, b) in zip(("forward_first", "fresh"), pair):
                 out[f"memo/d_s/{k}/{n_q}/{name}"] = _report(scdt.d_s(a, b, n_q))
+
+    fits = {"n-above-p": _blobs(scdt, 50, 0), "low-rank-rows": _blobs(scdt, 20, 200)}
+    signals = scdt.generate_dataset(scdt.GenConfig(seed=0))
+    features = scdt.featurize(signals, "scdt", scdt.TransformConfig(n_quantiles=4096))
+    held_out = np.arange(len(signals)) % 2 == 1
+    fits["transform-4096"] = (features.subset(~held_out), features.subset(held_out).rows)
+    for name, (train, test_rows) in fits.items():
+        model = scdt.classify.fit_lda(train)
+        out[f"fit_lda/{name}"] = (model.predict(test_rows), model.projection.shape[1],
+                                  model.regularization)
+        out[f"fit_lda/{name}/projection"] = model.projection
     return out
 
 

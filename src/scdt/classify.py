@@ -46,7 +46,11 @@ class FeatureMatrix:
 
     def __post_init__(self) -> None:
         rows = np.asarray(self.rows, dtype=float)
-        labels = np.asarray(self.labels, dtype=int)
+        labels = np.asarray(self.labels)
+        with np.errstate(invalid="ignore"):  # a label that int64 cannot hold casts to another
+            if labels.dtype.kind not in "biuf" or not np.array_equal(labels.astype(int), labels):
+                raise ValueError("labels must be integers")
+        labels = np.asarray(labels, dtype=int)
         if rows.ndim != 2 or labels.ndim != 1 or rows.shape[0] != labels.size:
             raise ValueError("rows must be (n_signals, n_features) with one label per row")
         if not np.all(np.isfinite(rows)):
@@ -103,12 +107,26 @@ class LdaModel:
         return self.classes[np.argmin(dists, axis=1)]
 
 
+def _apply_q(h: np.ndarray, tau: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``Q @ x`` for a 2-D ``x`` and the reduced Q of ``h, tau = np.linalg.qr(a,
+    mode="raw")`` (the Q of the default mode): one pass over the reflectors of Q."""
+    out = np.zeros((x.shape[1], h.shape[1]))
+    out[:, : x.shape[0]] = x.T
+    for j in reversed(range(tau.size)):
+        v = h[j, j:].copy()  # v_j: 0 above j, 1 at j, h[j, j + 1:] below
+        v[0] = 1.0
+        out[:, j:] -= (tau[j] * (out[:, j:] @ v))[:, None] * v
+    return np.ascontiguousarray(out.T)
+
+
 def fit_lda(train: FeatureMatrix, lda_lambda: float = DEFAULT_LDA_LAMBDA) -> LdaModel:
     """Fit regularized Fisher LDA.
 
     Solves the generalized eigenproblem of between-class versus regularized
     within-class scatter through the low-rank class-mean factorization, with
-    one ``min(n, p)``-square solve: no p x p matrix for long feature vectors.
+    one ``min(n, p)``-square solve in the coordinates ``R^T`` of one Householder
+    factorization ``(X - mu)^T = Q R``.  Q is never formed: its reflectors are
+    applied to the at most ``classes - 1`` discriminant directions only.
     """
     if not 0 < lda_lambda < np.inf:
         raise ValueError("lda_lambda must be finite and positive")
@@ -119,27 +137,27 @@ def fit_lda(train: FeatureMatrix, lda_lambda: float = DEFAULT_LDA_LAMBDA) -> Lda
     n, p = X.shape
     mu = X.mean(axis=0)
     centred = np.empty((n, p))
-    between = np.empty((p, classes.size))
     class_means = np.empty((classes.size, p))
     for k, c in enumerate(classes):
         Xc = X[y == c]
         if Xc.shape[0] < 2:
             raise ValueError("need at least two samples per class")
-        mc = Xc.mean(axis=0)
-        class_means[k] = mc
+        class_means[k] = mc = Xc.mean(axis=0)
         centred[y == c] = Xc - mc
-        between[:, k] = np.sqrt(Xc.shape[0]) * (mc - mu)
     trace = float(np.vdot(centred, centred))
     lam_eff = lda_lambda * trace / p if trace > 0 else float(lda_lambda)
     if not 0 < lam_eff < np.inf:
         raise ValueError("feature values are out of range: the scatter over- or underflows")
-    # The centred rows and the class-mean offsets lie in the span of the rows of
-    # X - mu, which the scatter maps into itself: solve on an orthonormal basis of it.
-    basis = np.linalg.qr((X - mu).T)[0]
-    reduced_rows = centred @ basis
-    reduced = reduced_rows.T @ reduced_rows
+    h, tau = np.linalg.qr((X - mu).T, mode="raw")
+    coords = np.tril(h[:, : tau.size])  # the rows of X - mu in the basis Q; they sum to 0
+    between = np.empty((tau.size, classes.size))
+    for k, c in enumerate(classes):
+        mc = coords[y == c].mean(axis=0)
+        coords[y == c] -= mc
+        between[:, k] = np.sqrt(np.count_nonzero(y == c)) * mc
+    reduced = coords.T @ coords
     reduced[np.diag_indices_from(reduced)] += lam_eff
-    solved = basis @ np.linalg.solve(reduced, basis.T @ between)
+    solved = np.linalg.solve(reduced, between)
     small = between.T @ solved
     if not np.all(np.isfinite(small)):
         raise ValueError("feature values are out of range: the scatter over- or underflows")
@@ -147,10 +165,7 @@ def fit_lda(train: FeatureMatrix, lda_lambda: float = DEFAULT_LDA_LAMBDA) -> Lda
     top = max(float(eigvals[-1]), 0.0)
     keep = eigvals > top * 1e-10 if top > 0 else np.zeros(eigvals.size, dtype=bool)
     order = np.nonzero(keep)[0][::-1]
-    if order.size:
-        projection = (solved @ eigvecs[:, order]) / np.sqrt(eigvals[order])
-    else:
-        projection = np.zeros((p, 0))
+    projection = _apply_q(h, tau, (solved @ eigvecs[:, order]) / np.sqrt(eigvals[order]))
     return LdaModel(
         projection=projection,
         class_means_projected=class_means @ projection,

@@ -107,6 +107,14 @@ class CdtResult:
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "mass", mass)
 
+    @classmethod
+    def _trusted(cls, samples: np.ndarray, mass: float) -> "CdtResult":
+        """A result of samples sorted by construction; no ``__post_init__``."""
+        samples.setflags(write=False)
+        c = object.__new__(cls)
+        c.__dict__.update(samples=samples, mass=float(mass))
+        return c
+
     @property
     def is_zero(self) -> bool:
         return self.mass == 0
@@ -152,7 +160,8 @@ def cdt_positive(nu: DiscreteMeasure, cfg: TransformConfig) -> CdtResult:
         return CdtResult.zero(cfg.n_quantiles)
     memo = nu.__dict__.get("_memo")
     if memo is None or memo[0] != cfg.n_quantiles:
-        memo = (cfg.n_quantiles, CdtResult(measure_quantiles(nu, cfg.quantiles), nu.total_mass))
+        samples = measure_quantiles(nu, cfg.quantiles)
+        memo = (cfg.n_quantiles, CdtResult._trusted(samples, nu.total_mass))
         nu.__dict__["_memo"] = memo
     return memo[1]
 

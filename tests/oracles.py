@@ -1,8 +1,9 @@
 """Independent reference implementations used as oracles by the test suite.
 
 Everything here is deliberately written the slow, literal way (linear scans,
-brute-force searches, generic LP solvers, a dense p x p Cholesky solve) so
-that agreement with the library is evidence rather than tautology.
+brute-force searches, generic LP solvers, a dense p x p Cholesky solve, an
+explicitly formed QR basis, an extended-precision Gram solve) so that
+agreement with the library is evidence rather than tautology.
 """
 
 from __future__ import annotations
@@ -146,6 +147,82 @@ def lda_primal(X, y, lda_lambda: float) -> LdaModel:
     order = np.nonzero(eigvals > top * 1e-10)[0][::-1] if top > 0 else np.empty(0, dtype=int)
     projection = (solved @ eigvecs[:, order]) / np.sqrt(eigvals[order])
     return LdaModel(projection, class_means @ projection, classes, lam_eff)
+
+
+def lda_explicit_q(X, y, lda_lambda: float) -> LdaModel:
+    """Regularized Fisher LDA on an explicit orthonormal basis Q of the span of
+    the rows of X - mu (``np.linalg.qr((X - mu).T)[0]``, p x min(n, p)): the
+    centred rows and the scaled class-mean offsets are multiplied by Q, the
+    regularized scatter is solved in that basis and the solution is mapped
+    back by Q before the small between-class eigenproblem.  The offsets are
+    the class means of the rows of X - mu, so a constant feature gets the
+    same offset in every class; the difference of two separately rounded
+    means would differ by class, and the solve would amplify that rounding
+    along the feature, which has no within-class scatter to damp it."""
+    X, y = np.asarray(X, dtype=float), np.asarray(y)
+    classes = np.unique(y)
+    n, p = X.shape
+    mu = X.mean(axis=0)
+    centred = np.empty((n, p))
+    between = np.empty((p, classes.size))
+    class_means = np.empty((classes.size, p))
+    for k, c in enumerate(classes):
+        Xc = X[y == c]
+        mc = Xc.mean(axis=0)
+        class_means[k] = mc
+        centred[y == c] = Xc - mc
+        between[:, k] = np.sqrt(Xc.shape[0]) * (Xc - mu).mean(axis=0)
+    trace = float(np.vdot(centred, centred))
+    lam_eff = lda_lambda * trace / p if trace > 0 else float(lda_lambda)
+    basis = np.linalg.qr((X - mu).T)[0]
+    reduced_rows = centred @ basis
+    reduced = reduced_rows.T @ reduced_rows
+    reduced[np.diag_indices_from(reduced)] += lam_eff
+    solved = basis @ np.linalg.solve(reduced, basis.T @ between)
+    eigvals, eigvecs = np.linalg.eigh(between.T @ solved)
+    top = max(float(eigvals[-1]), 0.0)
+    order = np.nonzero(eigvals > top * 1e-10)[0][::-1] if top > 0 else np.empty(0, dtype=int)
+    projection = (solved @ eigvecs[:, order]) / np.sqrt(eigvals[order])
+    return LdaModel(projection, class_means @ projection, classes, lam_eff)
+
+
+def lda_extended_precision(X, y, lda_lambda: float) -> np.ndarray:
+    """The projection of regularized Fisher LDA in ``np.longdouble``, through
+    the n x n Gram matrix ``G = C C^T`` of the centred rows C = X - mu: the
+    discriminant directions are ``C^T A`` with ``((I - P) G + lam I) A = S``,
+    where P averages within each class, ``S[i, k] = 1 / sqrt(n_k)`` on the
+    rows of class k and lam is ``lda_lambda`` times the within-class trace
+    over p, solved by Gaussian elimination with partial pivoting.
+    Only the classes x classes eigenproblem is in float64."""
+    X, y = np.asarray(X, dtype=float), np.asarray(y)
+    classes = np.unique(y)
+    n, p = X.shape
+    ld = np.longdouble
+    C = X.astype(ld) - X.astype(ld).mean(axis=0)
+    P = np.zeros((n, n), dtype=ld)
+    S = np.zeros((n, classes.size), dtype=ld)
+    for k, c in enumerate(classes):
+        rows = np.nonzero(y == c)[0]
+        P[np.ix_(rows, rows)] = ld(1) / ld(rows.size)
+        S[rows, k] = ld(1) / np.sqrt(ld(rows.size))
+    G = C @ C.T
+    trace = sum(np.sum((C[y == c] - C[y == c].mean(axis=0)) ** 2) for c in classes)
+    lam_eff = ld(lda_lambda) * trace / ld(p) if trace > 0 else ld(lda_lambda)
+    M = (np.eye(n, dtype=ld) - P) @ G + lam_eff * np.eye(n, dtype=ld)
+    A = S.copy()
+    for j in range(n):
+        i = j + int(np.argmax(np.abs(M[j:, j])))
+        M[[i, j]], A[[i, j]] = M[[j, i]], A[[j, i]]
+        f = M[j + 1 :, j] / M[j, j]
+        M[j + 1 :, j:] -= f[:, None] * M[j, j:]
+        A[j + 1 :] -= f[:, None] * A[j]
+    for j in reversed(range(n)):
+        A[j] = (A[j] - M[j, j + 1 :] @ A[j + 1 :]) / M[j, j]
+    small = S.T @ G @ A
+    eigvals, eigvecs = np.linalg.eigh(((small + small.T) / 2).astype(float))
+    top = max(float(eigvals[-1]), 0.0)
+    order = np.nonzero(eigvals > top * 1e-10)[0][::-1] if top > 0 else np.empty(0, dtype=int)
+    return (C.T @ A @ eigvecs[:, order].astype(ld)) / np.sqrt(eigvals[order].astype(ld))
 
 
 def measure_from_density_by_masks(d):

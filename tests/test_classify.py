@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import lda_primal
-from scdt.classify import FeatureMatrix, featurize, fit_lda, run_experiment
+from oracles import lda_explicit_q, lda_extended_precision, lda_primal
+from scdt.classify import FeatureMatrix, _apply_q, featurize, fit_lda, run_experiment
 from scdt.errors import ScdtError
 from scdt.genmodel import GenConfig, generate_dataset
 from scdt.measures import GridDensity, measure_from_density
@@ -35,6 +35,35 @@ class TestFeatureMatrix:
             FeatureMatrix(np.array([[np.inf, 0.0]]), np.zeros(1, dtype=int), "scdt")
         with pytest.raises(ValueError):
             FeatureMatrix(np.zeros((2, 2)), np.zeros(2, dtype=int), "pca")
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            np.array([0.5, 1.7]),
+            np.array([0.0, np.nan]),
+            np.array([np.inf, 1.0]),
+            np.array([1e300, 0.0]),
+            np.array([2**63, 1], dtype=np.uint64),
+            np.array([1 + 0.5j, 2]),
+            np.array(["1", "2"]),
+            np.array([0, 1], dtype=object),
+        ],
+        ids=["fractional", "nan", "inf", "beyond-int64", "uint64-beyond-int64", "complex",
+             "text", "object"],
+    )
+    def test_labels_must_be_integers(self, labels):
+        # np.asarray(labels, dtype=int) would make [0, 1] of [0.5, 1.7], -2**63 of 2**63,
+        # 1 of 1 + 0.5j and 1 of "1".
+        with pytest.raises(ValueError, match="labels must be integers"):
+            FeatureMatrix(np.zeros((2, 2)), labels, "scdt")
+
+    def test_whole_float_and_integer_labels_are_accepted(self):
+        fm = FeatureMatrix(np.zeros((3, 2)), np.array([0.0, 2.0, -(2.0**63)]), "scdt")
+        assert fm.labels.dtype == int and np.array_equal(fm.labels, [0, 2, -(2**63)])
+        fm = FeatureMatrix(np.zeros((2, 2)), np.array([2**63 - 1, 0], dtype=np.uint64), "scdt")
+        assert fm.labels.dtype == int and np.array_equal(fm.labels, [2**63 - 1, 0])
+        labels = np.array([3, 1, 2])
+        assert FeatureMatrix(np.zeros((3, 2)), labels, "scdt").labels is labels
 
     def test_rows_are_frozen(self):
         fm = FeatureMatrix(np.zeros((2, 2)), np.zeros(2, dtype=int), "scdt")
@@ -254,6 +283,68 @@ class TestFitLda:
                 fit_lda(scaled)
 
 
+class TestApplyQ:
+    """The reflector form of Q against the Q that ``np.linalg.qr`` forms."""
+
+    @pytest.mark.parametrize(
+        "shape, rank",
+        [((2050, 250), None), ((40, 40), None), ((30, 70), None), ((200, 60), 5)],
+        ids=["tall", "square", "wide", "rank-deficient"],
+    )
+    def test_matches_the_formed_q(self, shape, rank):
+        rng = np.random.default_rng(7)
+        if rank is None:
+            # The transpose of a C-ordered array, as fit_lda factorizes (X - mu)^T.
+            a = rng.standard_normal(shape[::-1]).T
+        else:
+            a = rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1]))
+        h, tau = np.linalg.qr(a, mode="raw")
+        q = np.linalg.qr(a)[0]
+        x = rng.standard_normal((q.shape[1], 3))
+        assert np.max(np.abs(_apply_q(h, tau, x) - q @ x)) <= 1e-13 * np.max(np.abs(x))
+
+
+@st.composite
+def lda_problems(draw):
+    """Rows of 2-4 classes (2-30 rows each, any class ids) around random
+    centres in 1-60 features plus 0-20 features that hold 7.0 in every row,
+    all times a scale from 1e-3 to 1e3; the row count falls above and below
+    the feature count."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    sizes = draw(st.lists(st.integers(min_value=2, max_value=30), min_size=2, max_size=4))
+    ids = draw(st.lists(st.integers(min_value=-5, max_value=50), min_size=len(sizes),
+                        max_size=len(sizes), unique=True))
+    p = draw(st.integers(min_value=1, max_value=60))
+    spread = draw(st.floats(min_value=0.1, max_value=5.0))
+    y = np.repeat(ids, sizes)
+    centres = dict(zip(ids, spread * rng.standard_normal((len(ids), p))))
+    rows = np.array([centres[c] for c in y]) + rng.standard_normal((y.size, p))
+    scale = 10.0 ** draw(st.floats(min_value=-3.0, max_value=3.0))
+    constant = np.full((y.size, draw(st.integers(min_value=0, max_value=20))), 7.0)
+    return np.hstack([rows, constant]) * scale, y
+
+
+class TestFitLdaAgainstExplicitQ:
+    """The fit, which never forms Q, against the same solve on the Q that
+    ``np.linalg.qr`` forms: the same predictions and number of directions,
+    projections of the rows equal up to column sign within
+    ``1e-8 * max|projection|``, and the same regularization bit for bit."""
+
+    @given(lda_problems())
+    def test_matches_the_solve_on_a_formed_basis(self, problem):
+        rows, y = problem
+        model = fit_lda(FeatureMatrix(rows, y, "raw_signal"))
+        oracle = lda_explicit_q(rows, y, 1e-6)
+        test_rows = np.vstack([rows, rows[::-1] * 0.9 + rows * 0.1])
+        assert np.array_equal(model.predict(test_rows), oracle.predict(test_rows))
+        got, want = model.transform(test_rows), oracle.transform(test_rows)
+        assert got.shape == want.shape
+        signs = np.where(np.sum(got * want, axis=0) < 0, -1.0, 1.0)
+        bound = 1e-8 * np.max(np.abs(want), initial=0.0)
+        assert np.max(np.abs(got * signs - want), initial=0.0) <= bound
+        assert model.regularization == oracle.regularization
+
+
 def experiment_split(seed: int, kind: str):
     """The train and test features of the benchmark dataset on ``seed``,
     split by index parity as in ``run_experiment``."""
@@ -295,6 +386,24 @@ class TestFitLdaAgainstPrimal:
         rows = np.hstack([blobs.rows, noise, np.full((n, n_constant), 7.0)])
         train = FeatureMatrix(rows, blobs.labels, "raw_signal")
         self.assert_matches_primal(train, rows + 0.5)
+
+
+class TestFitLdaAgainstExtendedPrecision:
+    """The fit's projection against the same LDA solved in ``np.longdouble``
+    on the even rows of the benchmark transform features, at the default
+    p = 2050 and at p = 8194 (M = 4096, where the ridge is smallest against
+    the scatter): equal up to column sign within ``5e-8 * max|projection|``."""
+
+    @pytest.mark.parametrize("seed, n_quantiles", [(0, 1024), (97, 1024), (0, 4096)])
+    def test_benchmark_transform_features(self, seed, n_quantiles):
+        features = featurize(generate_dataset(GenConfig(seed=seed)), "scdt",
+                             TransformConfig(n_quantiles=n_quantiles))
+        train = features.subset(np.arange(features.labels.size) % 2 == 0)
+        got = fit_lda(train).projection
+        want = lda_extended_precision(train.rows, train.labels, 1e-6)
+        assert got.shape == want.shape
+        signs = np.where(np.sum(got * want, axis=0) < 0, -1.0, 1.0)
+        assert np.max(np.abs(got * signs - want)) <= 5e-8 * np.max(np.abs(want))
 
 
 class TestRunExperiment:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import probability_measures, signed_measures
+from conftest import discrete_measures, probability_measures, signed_measures
 from oracles import quantile_scan, scdt_inverse_by_unique
 from scdt.errors import RangeError, ScdtError, SingularityError, SingularityWarning
 from scdt.measures import (
@@ -87,6 +87,21 @@ class TestCdtResult:
     def test_infinite_samples_allowed(self):
         c = CdtResult(np.array([0.0, POS_INF]), 1.0)
         assert c.samples[-1] == POS_INF
+
+    @given(discrete_measures(), st.integers(min_value=2, max_value=64))
+    def test_public_constructor_accepts_library_results_and_rejects_them_spoiled(self, m, n):
+        # cdt_positive builds its result without __post_init__; the public
+        # constructor takes its samples and mass unchanged, and still rejects
+        # them unsorted or with a NaN.
+        got = cdt_positive(m, TransformConfig(n_quantiles=n))
+        checked = CdtResult(got.samples.copy(), got.mass)
+        assert checked.samples.tobytes() == got.samples.tobytes()
+        assert type(got.mass) is float and checked.mass == got.mass
+        if got.samples[0] < got.samples[-1]:
+            with pytest.raises(ValueError, match="non-decreasing"):
+                CdtResult(got.samples[::-1], got.mass)
+        with pytest.raises(ValueError, match="NaN"):
+            CdtResult(np.append(got.samples[1:], np.nan), got.mass)
 
     def test_scdt_result_requires_shared_grid(self):
         with pytest.raises(ValueError):
@@ -461,6 +476,15 @@ class TestTransformMemo:
             assert got.samples.tobytes() == want.samples.tobytes()
         back = cdt_positive(s.positive_part, TransformConfig(n_quantiles=64))
         assert back.samples.tobytes() == small.samples.tobytes()
+
+    def test_memoized_samples_stay_read_only(self):
+        plus = self._measure().positive_part
+        cfg = TransformConfig(n_quantiles=64)
+        first = cdt_positive(plus, cfg)
+        again = cdt_positive(plus, cfg)
+        assert again is first and not again.samples.flags.writeable
+        with pytest.raises(ValueError):
+            again.samples[0] = 0.0
 
     def test_memo_is_not_a_field(self):
         s = self._measure()
