@@ -15,12 +15,20 @@ Each checkout's ``src`` is imported in its own interpreter, which dumps:
   datasets;
 - ``generate_dataset`` on two configs whose warps cannot be rebinned: atoms
   off the grid and atoms that collapse onto each other (both raise);
-- ``scdt_forward`` samples and masses, ``rebin(scdt_inverse(...))`` and
-  ``d_s`` values and components on 4e5-bin signed and nonnegative densities
-  at M = 2^17;
+- ``scdt_forward`` samples and masses, ``rebin(scdt_inverse(...))``,
+  ``d_s`` values and components and ``transform_l2`` on 4e5-bin signed and
+  nonnegative densities at M = 2^17;
 - ``measure_quantiles`` on measures with atoms at +-inf, at the levels
   0, 1, nextafter(1, 0), 5e-324 and random levels;
-- ``w2``, ``d_w2`` and ``d_s`` with zero parts;
+- ``w2``, ``d_w2``, ``d_s`` and ``transform_l2`` (under unit-mass and
+  mass-2 references) with zero parts;
+- ``d_s``, ``d_w2``, ``w2`` and ``transform_l2`` at extreme scales
+  (``extreme/*``): a 4-bin pair of signals on ``[-1e200, 1e200]`` and the
+  same pair on ``[-1e-300, 1e-300]``, whose distances square outside
+  float64, and unit atoms near -1.65e308 and +1.65e308, whose gap
+  overflows.  Each runs with warnings raised as errors, and a value of inf
+  or 0 is recorded as raising ``ArithmeticError``: between distinct inputs
+  a distance must be finite and positive;
 - ``scdt_inverse`` with an exact plus/minus collision (the error), a
   near-collision (the warning text and the rebinned density) and a part of
   mass 5e-324 at M = 4, whose mass / M underflows;
@@ -35,7 +43,8 @@ Each checkout's ``src`` is imported in its own interpreter, which dumps:
 
 Arrays are compared by their bytes, so -0.0 against 0.0 counts as a
 difference; for a differing key of float arrays the largest
-``|old - new| / max|old|`` is printed too.  A case that raises is recorded
+``|old - new| / max|old|`` is printed too, and the largest over all such
+keys at the end.  A case that raises is recorded
 by exception type and message, and whether the type is one of the
 package's typed errors (``ScdtError``).  One that raises in OLD and succeeds
 in NEW, or raises a bare ``ValueError`` in OLD and a typed error in NEW, is
@@ -45,6 +54,7 @@ differs.
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 import subprocess
@@ -89,6 +99,34 @@ def _with_warnings(fn):
 
 def _report(r):
     return (r.value, r.components)
+
+
+def _strict(fn):
+    """``_try(fn)`` with warnings raised as errors, and a value of inf or 0
+    recorded as raising ``ArithmeticError``."""
+    def checked():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = fn()
+        if not 0 < value < math.inf:
+            raise ArithmeticError(f"distance {value!r} between distinct inputs")
+        return value
+    return _try(checked)
+
+
+def _extreme_pairs(scdt):
+    """``name -> (a, b)``: the 4-bin end-atom pair at both extreme scales
+    and unit atoms whose gap overflows."""
+    def grid(t0, t1, *rows):
+        return [scdt.measure_from_density(scdt.GridDensity(t0, t1, np.array(r))) for r in rows]
+
+    pairs = {}
+    for name, half_width in (("1e200", 1e200), ("1e-300", 1e-300)):
+        d = 2.0 / half_width
+        pairs[name] = grid(-half_width, half_width, [d, 0.0, -d, 0.0], [0.0, 0.0, -d, d])
+    pairs["overflow"] = (grid(-1.7e308, -1.5e308, [1e-307, 0.0])
+                         + grid(1.5e308, 1.7e308, [0.0, 1e-307]))
+    return pairs
 
 
 def _blobs(scdt, n_per_class, n_constant):
@@ -144,7 +182,7 @@ def dump():
             d.samples for _, d in scdt.generate_dataset(scdt.GenConfig(**kwargs))])
 
     cfg = scdt.TransformConfig(n_quantiles=LARGE_M)
-    measures = []
+    measures, transforms = [], []
     for k in range(8):
         for signed in (True, False):
             d = _large_density(scdt, np.random.default_rng([k, int(signed)]), signed)
@@ -155,8 +193,10 @@ def dump():
             out[key + "/rebin_inverse"] = _try(
                 lambda: scdt.rebin(scdt.scdt_inverse(t, cfg), d.t0, d.t1, d.n_bins).samples)
             measures.append(s)
+            transforms.append(t)
     for i, (a, b) in enumerate(zip(measures, measures[1:])):
         out[f"large/d_s/{i}"] = _report(scdt.d_s(a, b, LARGE_M))
+        out[f"large/transform_l2/{i}"] = scdt.transform_l2(transforms[i], transforms[i + 1], cfg)
 
     rng = np.random.default_rng(0)
     levels = np.concatenate(([0.0, 1.0, np.nextafter(1.0, 0.0), 5e-324], rng.random(60)))
@@ -180,9 +220,22 @@ def dump():
             out[f"d_w2/{n_q}/{i}/both"] = _report(scdt.d_w2(p, q, n_q))
             unit = p.scaled(1.0 / p.total_mass)
             out[f"w2/{n_q}/{i}"] = scdt.w2(unit, q.scaled(1.0 / q.total_mass), n_q)
-            out[f"d_s/{n_q}/{i}"] = _report(scdt.d_s(
-                scdt.SignedMeasure(p, zero), scdt.SignedMeasure(zero, p.scaled(2.0)), n_q))
+            sa, sb = scdt.SignedMeasure(p, zero), scdt.SignedMeasure(zero, p.scaled(2.0))
+            out[f"d_s/{n_q}/{i}"] = _report(scdt.d_s(sa, sb, n_q))
+            for mass in (1.0, 2.0):
+                tcfg = scdt.TransformConfig(scdt.ReferenceMeasure.uniform(mass=mass), n_q)
+                out[f"transform_l2/{n_q}/{i}/ref_mass_{mass:g}"] = scdt.transform_l2(
+                    scdt.scdt_forward(sa, tcfg), scdt.scdt_forward(sb, tcfg), tcfg)
         out[f"d_w2/{n_q}/zero_zero"] = _report(scdt.d_w2(zero, zero, n_q))
+
+    for name, (a, b) in _extreme_pairs(scdt).items():
+        tcfg = scdt.TransformConfig()
+        out[f"extreme/{name}/d_s"] = _strict(lambda: scdt.d_s(a, b).value)
+        out[f"extreme/{name}/d_w2"] = _strict(
+            lambda: scdt.d_w2(a.positive_part, b.positive_part).value)
+        out[f"extreme/{name}/w2"] = _strict(lambda: scdt.w2(a.positive_part, b.positive_part))
+        out[f"extreme/{name}/transform_l2"] = _strict(lambda: scdt.transform_l2(
+            scdt.scdt_forward(a, tcfg), scdt.scdt_forward(b, tcfg), tcfg))
 
     def inverse(plus, minus, n_q=8):
         t = scdt.ScdtResult(scdt.CdtResult(*plus), scdt.CdtResult(*minus))
@@ -247,18 +300,17 @@ def _raised(v):
 
 
 def _relative_difference(a, b):
-    """`` (max relative difference ...)`` for two outputs made of float arrays
-    of equal shapes, else an empty string."""
+    """The largest ``|old - new| / max|old|`` of two outputs made of float
+    arrays of equal shapes, else None."""
     a, b = (v if isinstance(v, tuple) else (v,) for v in (a, b))
     try:
         pairs = [(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
                  for x, y in zip(a, b)]
         if len(a) != len(b) or any(x.shape != y.shape or x.size == 0 for x, y in pairs):
-            return ""
-        worst = max(np.max(np.abs(x - y)) / np.max(np.abs(x)) for x, y in pairs)
+            return None
+        return max(np.max(np.abs(x - y)) / np.max(np.abs(x)) for x, y in pairs)
     except (TypeError, ValueError):
-        return ""
-    return f" (max relative difference {worst:.3g})"
+        return None
 
 
 def main(argv):
@@ -291,8 +343,13 @@ def main(argv):
           "error in NEW)")
     for line in fixed:
         print("  fixed:", line)
+    worst = []
     for key in mismatched:
-        print("  differs:", key + _relative_difference(old.get(key), new.get(key)))
+        rel = _relative_difference(old.get(key), new.get(key))
+        print("  differs:", key + ("" if rel is None else f" (max relative difference {rel:.3g})"))
+        worst += [] if rel is None else [rel]
+    if worst:
+        print(f"largest relative difference over the differing float outputs: {max(worst):.3g}")
     return 1 if mismatched else 0
 
 

@@ -22,7 +22,6 @@ from .measures import (
     ReferenceMeasure,
     SignedMeasure,
     cdf,
-    jordan_parts,
     measure_from_density,
     measure_quantiles,
     pushforward,
@@ -100,7 +99,6 @@ __all__ = [
     "featurize",
     "fit_lda",
     "generate_dataset",
-    "jordan_parts",
     "measure_from_density",
     "measure_quantiles",
     "predict_transform_under_reparam",

@@ -23,7 +23,6 @@ __all__ = [
     "ReferenceMeasure",
     "cdf",
     "measure_from_density",
-    "jordan_parts",
     "pushforward",
     "rebin",
     "measure_quantiles",
@@ -304,12 +303,6 @@ def measure_from_density(d: GridDensity) -> SignedMeasure:
         for i, part, total in zip(idx, w, totals)))
 
 
-def jordan_parts(s: SignedMeasure) -> Tuple[DiscreteMeasure, DiscreteMeasure]:
-    """The mutually singular pair ``(s+, s-)`` exactly as stored (their
-    supports were checked disjoint when ``s`` was built)."""
-    return s.positive_part, s.negative_part
-
-
 def pushforward(samples: ArrayLike, mass: float) -> DiscreteMeasure:
     """The empirical push-forward of the normalized reference through a
     non-decreasing quantile-sampled map: one atom of weight ``mass / M`` per
@@ -359,8 +352,9 @@ def _support_gap(a: np.ndarray, b: np.ndarray) -> float:
     if np.any(common):
         raise SingularityError(f"positive and negative parts share {np.count_nonzero(common)} "
                                f"atom location(s), e.g. {a[common][0]}")
-    # Unequal entries of which one is infinite are infinitely far apart.
-    return float(min(np.min(np.abs(above - a)), np.min(np.abs(a - below))))
+    # Unequal entries of which one is infinite, or whose gap overflows, are infinitely far apart.
+    with np.errstate(over="ignore"):
+        return float(min(np.min(np.abs(above - a)), np.min(np.abs(a - below))))
 
 
 def rebin(m: SignedMeasure, t0: float, t1: float, n_bins: int) -> GridDensity:

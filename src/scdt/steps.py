@@ -199,10 +199,6 @@ class PiecewiseLinearMap:
         object.__setattr__(self, "ys", ys)
         object.__setattr__(self, "slopes", slopes)
 
-    @property
-    def is_strictly_increasing(self) -> bool:
-        return bool(np.all(self.slopes > 0))
-
     def __call__(self, x: ArrayLike) -> Union[float, np.ndarray]:
         xa = _as_float_array(x, "x")
         n = self.xs.size

@@ -22,7 +22,6 @@ from .measures import (
     ReferenceMeasure,
     SignedMeasure,
     _support_gap,
-    jordan_parts,
     measure_from_density,
     measure_quantiles,
     pushforward,
@@ -169,8 +168,7 @@ def cdt_positive(nu: DiscreteMeasure, cfg: TransformConfig) -> CdtResult:
 def scdt_forward(s: SignedMeasure, cfg: TransformConfig) -> ScdtResult:
     """Part-wise transform of a signed measure through its Jordan
     decomposition."""
-    plus, minus = jordan_parts(s)
-    return ScdtResult(cdt_positive(plus, cfg), cdt_positive(minus, cfg))
+    return ScdtResult(cdt_positive(s.positive_part, cfg), cdt_positive(s.negative_part, cfg))
 
 
 def scdt_forward_batch(

@@ -119,6 +119,24 @@ def monotone_coupling_w2(xs, ps, ys, qs) -> float:
     return float(np.sqrt(cost))
 
 
+def d_s_longdouble(a, b, n_quantiles: int) -> np.longdouble:
+    """The signed distance ``d_s`` the literal way: the quantile samples of
+    each Jordan part by linear scan at the midpoint levels (all zero for a
+    zero part), then the root of the summed mean squared sample gaps and
+    squared mass gaps of both parts in ``np.longdouble``.  Where that type is
+    x87 extended precision its exponent range holds the square of every
+    float64, so nothing is scaled."""
+    ld = np.longdouble
+    levels = (np.arange(n_quantiles) + 0.5) / n_quantiles
+    total = ld(0)
+    for p, q in ((a.positive_part, b.positive_part), (a.negative_part, b.negative_part)):
+        samples = [np.array([0.0 if m.is_zero else quantile_scan(m.locations, m.weights, x)
+                             for x in levels], dtype=ld) for m in (p, q)]
+        diff = samples[0] - samples[1]
+        total += np.mean(diff * diff) + (ld(p.total_mass) - ld(q.total_mass)) ** 2
+    return np.sqrt(total)
+
+
 def lda_primal(X, y, lda_lambda: float) -> LdaModel:
     """Regularized Fisher LDA in the primal: form the p x p within-class
     scatter, add ``lda_lambda * trace / p`` to its diagonal (an absolute

@@ -363,8 +363,8 @@ class TestNormMatchesDistance:
             worst_ref = max(worst_ref, abs(norm_u - norm_p) / max(norm_u, 1e-30))
         check(
             "transform norm vs signed distance",
-            worst_match <= 1e-6 and worst_ref <= 1e-3,
-            f"worst |norm - distance| {worst_match:.2e} (need <= 1e-6), worst "
+            worst_match == 0 and worst_ref <= 1e-3,
+            f"worst |norm - distance| {worst_match:.2e} (need 0), worst "
             f"relative reference dependence {worst_ref:.2e} (need <= 1e-3)",
         )
 

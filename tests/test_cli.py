@@ -4,6 +4,7 @@ codes, and the environment seed override."""
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -144,6 +145,24 @@ class TestDistance:
         a = signal_csv("a.csv", [0.5, 0.5, 0.5, 0.5])
         assert main(["distance", "--a", a, "--b", a, "--metric", "w2"]) == 0
         assert float(capsys.readouterr().out) == 0.0
+
+    @pytest.mark.parametrize("half_width", [1e200, 1e-300])
+    def test_extreme_scale_pair_prints_the_atom_gap(self, capsys, signal_csv, half_width):
+        # Unit-mass positive atoms at opposite ends of four bins, equal
+        # negative parts: the distance is the atom gap, 1.5 * half_width.
+        d = 2.0 / half_width
+        a = signal_csv("a.csv", [d, 0.0, -d, 0.0], -half_width, half_width)
+        b = signal_csv("b.csv", [0.0, 0.0, -d, d], -half_width, half_width)
+        assert main(["distance", "--a", a, "--b", b]) == 0
+        assert math.isclose(float(capsys.readouterr().out), 1.5 * half_width, rel_tol=1e-15)
+
+    @pytest.mark.parametrize("metric", ["ds", "dw2", "w2"])
+    def test_sample_gap_overflow_exit_5(self, capsys, signal_csv, metric):
+        # Unit-mass atoms near -1.65e308 and +1.65e308: their gap overflows.
+        a = signal_csv("a.csv", [1e-307, 0.0], -1.7e308, -1.5e308)
+        b = signal_csv("b.csv", [0.0, 1e-307], 1.5e308, 1.7e308)
+        assert main(["distance", "--a", a, "--b", b, "--metric", metric]) == 5
+        assert "overflows float64" in capsys.readouterr().err
 
 
 class TestGenerate:

@@ -17,7 +17,6 @@ from scdt.measures import (
     ReferenceMeasure,
     SignedMeasure,
     cdf,
-    jordan_parts,
     measure_from_density,
     measure_quantiles,
     pushforward,
@@ -179,21 +178,6 @@ class TestSignedMeasure:
         )
         assert s.total_variation == 5.0
         assert SignedMeasure.zero().total_variation == 0.0
-
-    def test_jordan_parts_identity(self):
-        s = SignedMeasure(
-            DiscreteMeasure(np.array([1.0]), np.array([1.0])),
-            DiscreteMeasure(np.array([2.0]), np.array([1.0])),
-        )
-        plus, minus = jordan_parts(s)
-        assert plus is s.positive_part and minus is s.negative_part
-
-    def test_jordan_parts_purely_positive(self):
-        s = SignedMeasure(
-            DiscreteMeasure(np.array([1.0]), np.array([1.0])), DiscreteMeasure.zero()
-        )
-        plus, minus = jordan_parts(s)
-        assert minus.is_zero
 
 
 class TestGridDensity:

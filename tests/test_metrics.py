@@ -7,11 +7,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, reject
+from hypothesis import strategies as st
 
 from conftest import probability_measures, signed_measures
+from oracles import d_s_longdouble
 from scdt.errors import MetricDomainError
-from scdt.measures import DiscreteMeasure, GridDensity, SignedMeasure, measure_from_density
+from scdt.measures import (
+    DiscreteMeasure,
+    GridDensity,
+    ReferenceMeasure,
+    SignedMeasure,
+    measure_from_density,
+)
 from scdt.metrics import DistanceReport, d_s, d_w2, transform_l2, w2
 from scdt.steps import POS_INF
 from scdt.transform import CdtResult, ScdtResult, TransformConfig, scdt_forward
@@ -19,6 +27,32 @@ from scdt.transform import CdtResult, ScdtResult, TransformConfig, scdt_forward
 
 def delta(x: float, mass: float = 1.0) -> DiscreteMeasure:
     return DiscreteMeasure(np.array([x]), np.array([mass]))
+
+
+def same_bytes(x: float, y: float) -> bool:
+    return np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+def end_atom_pair(half_width: float):
+    """Two 4-bin signals on ``[-half_width, half_width]`` whose unit-mass
+    positive atoms sit at opposite ends, three bins apart, and whose
+    negative parts agree: every distance between them is the atom gap,
+    ``1.5 * half_width``."""
+    d = 2.0 / half_width
+    return [measure_from_density(GridDensity(-half_width, half_width, np.array(row)))
+            for row in ([d, 0.0, -d, 0.0], [0.0, 0.0, -d, d])]
+
+
+def all_four(a: SignedMeasure, b: SignedMeasure, n_quantiles: int = 1024):
+    """Calls of ``d_s``, of ``d_w2`` and ``w2`` on the positive parts, and of
+    ``transform_l2`` under the unit-mass uniform reference."""
+    cfg = TransformConfig(n_quantiles=n_quantiles)
+    return (
+        lambda: d_s(a, b, n_quantiles).value,
+        lambda: d_w2(a.positive_part, b.positive_part, n_quantiles).value,
+        lambda: w2(a.positive_part, b.positive_part, n_quantiles),
+        lambda: transform_l2(scdt_forward(a, cfg), scdt_forward(b, cfg), cfg),
+    )
 
 
 class TestDistanceReport:
@@ -35,6 +69,19 @@ class TestDistanceReport:
 
     def test_components_optional(self):
         assert DistanceReport(1.5).components is None
+
+    def test_components_checked_at_extreme_scales(self):
+        # Squared, both sides are inf at 1e200 and 0 at 1e-300.
+        DistanceReport(1.5e200, {"a": 0.9e200, "b": 1.2e200})
+        DistanceReport(1.5e-300, {"a": 0.9e-300, "b": 1.2e-300})
+        with pytest.raises(ValueError):
+            DistanceReport(1.5e200, {"a": 1e200, "b": 1e200})
+        with pytest.raises(ValueError):
+            DistanceReport(1e-300, {"a": 0.0})
+
+    def test_check_no_looser_than_relative_1e9_on_squares(self):
+        with pytest.raises(ValueError):
+            DistanceReport(5.0 * (1 + 1e-9), {"a": 3.0, "b": 4.0})
 
 
 class TestW2:
@@ -169,8 +216,82 @@ class TestDSAfterForward:
         fresh_a, fresh_b = self._pair()
         for m in (256, 1024):
             got, want = d_s(a, b, m), d_s(fresh_a, fresh_b, m)
-            assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
+            assert same_bytes(got.value, want.value)
             assert got.components == want.components
+
+
+class TestExtremeScales:
+    """Distances whose squares leave float64 range: the one kernel scales
+    the sample gaps before it squares them, and warns of nothing."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("half_width", [1e200, 1e-300])
+    def test_end_atom_pair_gives_the_atom_gap(self, half_width):
+        a, b = end_atom_pair(half_width)
+        for call in all_four(a, b):
+            assert math.isclose(call(), 1.5 * half_width, rel_tol=1e-15)
+
+    @pytest.mark.filterwarnings("error")
+    def test_opposite_sign_samples_near_max_float_raise(self):
+        a, b = (SignedMeasure(delta(x), DiscreteMeasure.zero()) for x in (-1.7e308, 1.7e308))
+        for call in all_four(a, b, n_quantiles=8):
+            with pytest.raises(MetricDomainError):
+                call()
+
+    @pytest.mark.filterwarnings("error")
+    def test_distance_rounding_to_inf_raises(self):
+        a = SignedMeasure(delta(0.0), delta(1.0))
+        b = SignedMeasure(delta(1.7e308), delta(-1.7e308))
+        cfg = TransformConfig(n_quantiles=8)
+        with pytest.raises(MetricDomainError):
+            d_s(a, b, 8)
+        with pytest.raises(MetricDomainError):
+            transform_l2(scdt_forward(a, cfg), scdt_forward(b, cfg), cfg)
+        with pytest.raises(MetricDomainError):
+            d_w2(delta(1.7e308, mass=1.7e308), DiscreteMeasure.zero(), 8)
+
+    def test_reference_weight_overflow_raises(self):
+        cfg = TransformConfig(ReferenceMeasure.uniform(0.0, 1.0, mass=1e300), n_quantiles=8)
+        a, b = end_atom_pair(1e200)
+        with pytest.raises(MetricDomainError):
+            transform_l2(scdt_forward(a, cfg), scdt_forward(b, cfg), cfg)
+
+    def test_gap_below_smallest_float_rounds_up_not_to_zero(self):
+        # One of 64 samples differs by 5e-324; the exact gap, 5e-324 / 8, is
+        # below every positive float.
+        a = SignedMeasure(DiscreteMeasure(np.array([0.0, 5e-324]), np.array([63.0, 1.0])),
+                          DiscreteMeasure.zero())
+        b = SignedMeasure(delta(0.0, mass=64.0), DiscreteMeasure.zero())
+        assert d_s(a, b, 64).value == 5e-324
+        # A weight of sqrt(1e-300) on a quantile gap of 1e-200.
+        cfg = TransformConfig(ReferenceMeasure.uniform(0.0, 1.0, mass=1e-300), n_quantiles=8)
+        ta, tb = (scdt_forward(SignedMeasure(delta(x), DiscreteMeasure.zero()), cfg)
+                  for x in (0.0, 1e-200))
+        assert transform_l2(ta, tb, cfg) == 5e-324
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).maxexp <= 1024,
+                        reason="np.longdouble has no wider exponent range than float64")
+    @given(signed_measures(max_atoms=4), signed_measures(max_atoms=4),
+           st.integers(min_value=-300, max_value=300))
+    def test_scaled_measures_match_extended_precision(self, a, b, k):
+        def scaled(s):
+            try:
+                return SignedMeasure(*(DiscreteMeasure(p.locations * 10.0**k, p.weights * 10.0**k)
+                                       for p in (s.positive_part, s.negative_part)))
+            except ValueError:  # atoms that collide once scaled
+                reject()
+
+        a, b = scaled(a), scaled(b)
+        cfg = TransformConfig(n_quantiles=64)
+        ta, tb = scdt_forward(a, cfg), scdt_forward(b, cfg)
+        got = d_s(a, b, 64).value
+        want = d_s_longdouble(a, b, 64)
+        # Below 2**-1022 float64 spacing is absolute: 2**-1074.
+        assert abs(got - want) <= 1e-14 * want + 4 * 2.0**-1074
+        differ = any(not np.array_equal(p.samples, q.samples) or p.mass != q.mass
+                     for p, q in ((ta.plus, tb.plus), (ta.minus, tb.minus)))
+        assert (got > 0) == differ
+        assert same_bytes(transform_l2(ta, tb, cfg), got)
 
 
 class TestTransformL2:
@@ -199,8 +320,6 @@ class TestTransformL2:
         assert transform_l2(t1, t2, cfg) == 2.0
 
     def test_reference_mass_weights_quantile_block(self):
-        from scdt.measures import ReferenceMeasure
-
         cfg = TransformConfig(
             reference=ReferenceMeasure.uniform(0.0, 1.0, mass=2.0), n_quantiles=4
         )
@@ -213,7 +332,7 @@ class TestTransformL2:
         cfg = TransformConfig(n_quantiles=64)
         norm = transform_l2(scdt_forward(a, cfg), scdt_forward(b, cfg), cfg)
         dist = d_s(a, b, n_quantiles=64).value
-        assert norm == pytest.approx(dist, rel=1e-12, abs=1e-15)
+        assert same_bytes(norm, dist)
 
     def test_distance_between_dipoles_matches_hand_value(self):
         cfg = TransformConfig(n_quantiles=16)

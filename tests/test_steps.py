@@ -272,11 +272,6 @@ class TestPiecewiseLinear:
         with pytest.raises(ValueError):
             PiecewiseLinearMap(np.array([0.0, POS_INF]), np.array([0.0, 1.0]))
 
-    def test_strictly_increasing_flag(self):
-        assert PiecewiseLinearMap(np.array([0.0, 1.0]), np.array([0.0, 1.0])).is_strictly_increasing
-        flat = PiecewiseLinearMap(np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.0, 1.0]))
-        assert not flat.is_strictly_increasing
-
     @given(pwl_maps())
     def test_knots_evaluate_exactly(self, g):
         out = g(g.xs)
