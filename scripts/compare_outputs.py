@@ -39,7 +39,19 @@ Each checkout's ``src`` is imported in its own interpreter, which dumps:
   features (``low-rank-rows``) and on the seed-0 transform features at
   M = 4096 (p = 8194): the held-out predictions, the number of directions and
   the regularization under ``fit_lda/<name>``, and the projection matrix
-  under ``fit_lda/<name>/projection``.
+  under ``fit_lda/<name>/projection``;
+- ``ReferenceMeasure.quantile`` at the 1024 midpoint levels and
+  ``cdf_eval`` of those quantiles (``reference/*``): the five references of
+  the acceptance test, a subnormal (1e-320) and a near-maximal (1e308)
+  total mass on ``[0, 1]``, and three references whose knot span or slope
+  float64 cannot hold.  Each runs with warnings raised as errors, and
+  quantiles that are not finite, or CDF values further than 1e-9 of the
+  mass (plus two units in its last place) from ``q * mass``, are recorded as
+  raising ``ArithmeticError``;
+- ``IncreasingReparam.inverse`` of piecewise-linear warps
+  (``reparam/pwl/*``): the 100 warps of the acceptance test's composition
+  law at that test's atom locations and knots, and a warp whose first
+  segment rises by 1e-320, checked the same way.
 
 Arrays are compared by their bytes, so -0.0 against 0.0 counts as a
 difference; for a differing key of float arrays the largest
@@ -101,17 +113,24 @@ def _report(r):
     return (r.value, r.components)
 
 
-def _strict(fn):
-    """``_try(fn)`` with warnings raised as errors, and a value of inf or 0
-    recorded as raising ``ArithmeticError``."""
-    def checked():
+def _checked(fn):
+    """``_try(fn)`` with warnings raised as errors."""
+    def run():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            value = fn()
+            return fn()
+    return _try(run)
+
+
+def _strict(fn):
+    """``_checked(fn)``, with a value of inf or 0 recorded as raising
+    ``ArithmeticError``."""
+    def positive():
+        value = fn()
         if not 0 < value < math.inf:
             raise ArithmeticError(f"distance {value!r} between distinct inputs")
         return value
-    return _try(checked)
+    return _checked(positive)
 
 
 def _extreme_pairs(scdt):
@@ -127,6 +146,35 @@ def _extreme_pairs(scdt):
     pairs["overflow"] = (grid(-1.7e308, -1.5e308, [1e-307, 0.0])
                          + grid(1.5e308, 1.7e308, [0.0, 1e-307]))
     return pairs
+
+
+def _reference_round_trip(scdt, xs, ys):
+    """``(quantile(q), cdf_eval(quantile(q)))`` at the 1024 midpoint levels q."""
+    ref = scdt.ReferenceMeasure(np.array(xs), np.array(ys))
+    q = scdt.TransformConfig(n_quantiles=1024).quantiles
+    x = ref.quantile(q)
+    back = ref.cdf_eval(x)
+    mass = ref.total_mass
+    if not (np.all(np.isfinite(x))
+            and np.all(np.abs(back - q * mass) <= 1e-9 * mass + 2 * np.spacing(mass))):
+        raise ArithmeticError("the CDF of the quantiles misses the midpoint grid")
+    return x, back
+
+
+def _acceptance_warps(rng):
+    """``(xs, ys, locations)`` for the 100 warps of the composition-law
+    acceptance test and the atom locations it moves through them: the same
+    generator calls as its ``random_signed_atoms`` (the signs and weights
+    are drawn and dropped), then the warp's knots."""
+    for _ in range(100):
+        n_plus, n_minus = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        locs = -4.0 + np.cumsum(rng.uniform(0.1, 1.0, n_plus + n_minus))
+        rng.permutation(n_plus + n_minus)
+        rng.uniform(0.1, 2.0, n_plus)
+        rng.uniform(0.1, 2.0, n_minus)
+        xs = -5.0 + np.cumsum(rng.uniform(0.5, 3.0, 3))
+        ys = -5.0 + np.cumsum(rng.uniform(0.5, 3.0, 3))
+        yield xs, ys, locs
 
 
 def _blobs(scdt, n_per_class, n_constant):
@@ -263,6 +311,36 @@ def dump():
         for n_q in (LARGE_M, 1024):
             for name, (a, b) in zip(("forward_first", "fresh"), pair):
                 out[f"memo/d_s/{k}/{n_q}/{name}"] = _report(scdt.d_s(a, b, n_q))
+
+    references = {
+        "acceptance/0": ([0.0, 1.0], [0.0, 1.0]),
+        "acceptance/1": ([-2.0, 5.0], [0.0, 1.0]),
+        "acceptance/2": ([0.0, 3.0], [0.0, 2.5]),
+        "acceptance/3": ([0.0, 0.5, 2.0], [0.0, 0.7, 1.0]),
+        "acceptance/4": ([0.0, 1.0, 4.0], [0.0, 1.5, 2.0]),
+        "mass_1e-320": ([0.0, 1.0], [0.0, 1e-320]),
+        "mass_1e308": ([0.0, 1.0], [0.0, 1e308]),
+        "slope_overflow": ([0.0, 1e-300], [0.0, 1e300]),
+        "span_overflow": ([-1e308, 1e308], [0.0, 1.0]),
+        "slope_underflow": ([0.0, 1e300], [0.0, 1e-300]),
+    }
+    for name, (xs, ys) in references.items():
+        out[f"reference/{name}"] = _checked(lambda: _reference_round_trip(scdt, xs, ys))
+
+    inverses = []
+    for xs, ys, locs in _acceptance_warps(np.random.default_rng(13)):
+        g = scdt.IncreasingReparam.piecewise_linear(xs, ys)
+        inverses.append(g.inverse(np.concatenate((locs, ys, [ys[0] - 1.0, ys[-1] + 1.0]))))
+    out["reparam/pwl/acceptance"] = np.concatenate(inverses)
+
+    def subnormal_warp():
+        g = scdt.IncreasingReparam.piecewise_linear([0.0, 1.0, 2.0], [0.0, 1e-320, 1.0])
+        y = np.array([0.0, 0.25e-320, 0.5e-320, 1e-320, 0.5, 1.0, 2.0])
+        x = g.inverse(y)
+        if not np.all(np.isfinite(x)):
+            raise ArithmeticError("the inverse of a finite value is not finite")
+        return x
+    out["reparam/pwl/subnormal"] = _checked(subnormal_warp)
 
     fits = {"n-above-p": _blobs(scdt, 50, 0), "low-rank-rows": _blobs(scdt, 20, 200)}
     signals = scdt.generate_dataset(scdt.GenConfig(seed=0))

@@ -89,6 +89,13 @@ def read_experiment_config(path: Union[str, os.PathLike]) -> ExperimentConfig:
     unknown = set(obj) - _GEN_KEYS - _EXTRA_KEYS
     if unknown:
         raise ParseError(f"{path}: unknown keys {sorted(unknown)}")
+
+    def integer(value: Any, key: str) -> int:
+        try:
+            return int(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"{path}: {key} must be an integer, got {value!r}") from exc
+
     gen_kwargs: Dict[str, Any] = {}
     for key in _GEN_KEYS & set(obj):
         value = obj[key]
@@ -98,7 +105,9 @@ def read_experiment_config(path: Union[str, os.PathLike]) -> ExperimentConfig:
                 raise ParseError(f"{path}: {key} must be a two-entry array")
             value = (float(arr[0]), float(arr[1]))
         elif key == "per_class" and isinstance(value, list):
-            value = tuple(value)
+            value = tuple(integer(c, key) for c in value)
+        elif key in ("n_grid", "seed"):
+            value = integer(value, key)
         gen_kwargs[key] = value
     try:
         gen = GenConfig(**gen_kwargs)
@@ -111,10 +120,9 @@ def read_experiment_config(path: Union[str, os.PathLike]) -> ExperimentConfig:
         if "reference" in obj
         else ReferenceMeasure.uniform()
     )
+    n_quantiles = integer(obj.get("n_quantiles", DEFAULT_N_QUANTILES), "n_quantiles")
     try:
-        transform = TransformConfig(
-            reference=reference, n_quantiles=int(obj.get("n_quantiles", DEFAULT_N_QUANTILES))
-        )
+        transform = TransformConfig(reference=reference, n_quantiles=n_quantiles)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     lda_lambda = _decode_float(obj.get("lda_lambda", DEFAULT_LDA_LAMBDA), "lda_lambda")

@@ -200,14 +200,15 @@ def read_transform_json(
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: expected a JSON object")
-    if obj.get("version") != TRANSFORM_FILE_VERSION:
-        raise ParseError(f"{path}: unsupported version {obj.get('version')!r}")
+    version = obj.get("version")
+    if isinstance(version, bool) or version != TRANSFORM_FILE_VERSION:
+        raise ParseError(f"{path}: unsupported version {version!r}")
     quantiles = _decode_array(obj.get("quantiles"), "quantiles")
     m = quantiles.size
     if m < 2:
         raise ParseError(f"{path}: need at least two quantile levels")
     cfg = TransformConfig(reference=reference_from_dict(obj.get("reference")), n_quantiles=m)
-    if np.max(np.abs(quantiles - cfg.quantiles)) > 1e-12:
+    if not np.all(np.abs(quantiles - cfg.quantiles) <= 1e-12):
         raise ParseError(f"{path}: quantile grid is not the midpoint grid")
     result = ScdtResult(
         _part_from_dict(obj.get("plus"), m, "plus"),

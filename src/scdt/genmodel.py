@@ -53,7 +53,6 @@ class IncreasingReparam:
     a: float = 0.0
     b: float = 0.0
     pwl: Optional[PiecewiseLinearMap] = None
-    pwl_inverse: Optional[PiecewiseLinearMap] = None
 
     _KINDS = ("dilation", "affine", "piecewise_linear")
 
@@ -88,10 +87,8 @@ class IncreasingReparam:
     @classmethod
     def piecewise_linear(cls, xs: ArrayLike, ys: ArrayLike) -> "IncreasingReparam":
         """A strictly increasing piecewise-linear map through the given knots,
-        extended with its end slopes; the inverse swaps the knot axes."""
-        fwd = PiecewiseLinearMap(xs, ys)
-        inv = PiecewiseLinearMap(fwd.ys, fwd.xs)
-        return cls("piecewise_linear", pwl=fwd, pwl_inverse=inv)
+        extended with its end slopes; the inverse is the map's preimage."""
+        return cls("piecewise_linear", pwl=PiecewiseLinearMap(xs, ys))
 
     def forward(self, x: ArrayLike) -> Union[float, np.ndarray]:
         if self.kind == "dilation":
@@ -109,7 +106,7 @@ class IncreasingReparam:
             ya = np.asarray(y, dtype=float)
             out = (ya - self.b) / self.a
             return out if np.ndim(y) else float(out)
-        return self.pwl_inverse(y)
+        return self.pwl.preimage(y)
 
     __call__ = forward
 

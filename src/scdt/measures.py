@@ -180,32 +180,21 @@ class ReferenceMeasure:
 
     xs: np.ndarray
     ys: np.ndarray
-    _inverse: PiecewiseLinearMap = field(init=False, repr=False)
+    _cdf: PiecewiseLinearMap = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         try:
-            xs = np.asarray(self.xs, dtype=float)
-            ys = np.asarray(self.ys, dtype=float)
-            if xs.ndim != 1 or ys.ndim != 1 or xs.size != ys.size or xs.size < 2:
-                raise InvalidReferenceError("need matching 1-D knot arrays with >= 2 knots")
-            if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
-                raise InvalidReferenceError("reference CDF knots must be finite")
-            if not np.all(xs[1:] > xs[:-1]):
-                raise InvalidReferenceError("reference CDF knot xs must be strictly increasing")
-            if not np.all(ys[1:] > ys[:-1]):
-                raise InvalidReferenceError(
-                    "reference CDF must be strictly increasing on its support "
-                    "(an atomless measure admits no flat or jumping CDF)"
-                )
-            if ys[0] != 0:
-                raise InvalidReferenceError("reference CDF must start at 0")
-        except ValueError as exc:  # NaN comparisons and the like
-            raise InvalidReferenceError(str(exc)) from exc
-        xs.setflags(write=False)
-        ys.setflags(write=False)
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
-        object.__setattr__(self, "_inverse", PiecewiseLinearMap(ys, xs))
+            cdf = PiecewiseLinearMap(self.xs, self.ys)
+        except ValueError as exc:
+            raise InvalidReferenceError(f"reference CDF knots: {exc}") from exc
+        if not (cdf.slopes > 0).all():
+            raise InvalidReferenceError(
+                "reference CDF must be strictly increasing on its support "
+                "(an atomless measure admits no flat or jumping CDF)"
+            )
+        if cdf.ys[0] != 0:
+            raise InvalidReferenceError("reference CDF must start at 0")
+        self.__dict__.update(xs=cdf.xs, ys=cdf.ys, _cdf=cdf)
 
     @classmethod
     def uniform(cls, a: float = 0.0, b: float = 1.0, mass: float = 1.0) -> "ReferenceMeasure":
@@ -226,25 +215,15 @@ class ReferenceMeasure:
 
     def cdf_eval(self, x: ArrayLike) -> Union[float, np.ndarray]:
         """CDF value at ``x``: 0 left of the support, total mass right of it."""
-        xa = np.asarray(x, dtype=float)
-        if np.any(np.isnan(xa)):
-            raise ValueError("x must not contain NaN")
-        clipped = np.clip(xa, self.xs[0], self.xs[-1])
-        fwd = PiecewiseLinearMap(self.xs, self.ys)
-        out = fwd(clipped)
-        if np.ndim(x) == 0:
-            return float(out)
-        return out
+        return self._cdf(np.clip(x, self.xs[0], self.xs[-1]))
 
     def quantile(self, p: ArrayLike) -> Union[float, np.ndarray]:
-        """Exact inverse of the normalized CDF at ``p`` in ``[0, 1]``."""
+        """Exact inverse of the normalized CDF at ``p`` in ``[0, 1]``: the
+        preimage of ``p * total_mass`` under the CDF."""
         pa = np.asarray(p, dtype=float)
         if np.any(np.isnan(pa)) or np.any(pa < 0) or np.any(pa > 1):
             raise ValueError("quantile levels must lie in [0, 1]")
-        out = self._inverse(pa * self.total_mass)
-        if np.ndim(p) == 0:
-            return float(out)
-        return out
+        return self._cdf.preimage(pa * self.total_mass)
 
 
 def cdf(m: DiscreteMeasure) -> StepFunction:

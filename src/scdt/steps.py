@@ -171,7 +171,9 @@ class PiecewiseLinearMap:
 
     Defined by knots ``(xs, ys)``; beyond the outermost knots the end segments
     extend with their own slopes, so a map whose end slopes are positive is a
-    surjection onto the real line.
+    surjection onto the real line.  Knots whose spans or slopes float64
+    cannot hold are refused: a span or slope that overflows, or a rising
+    segment whose slope underflows to 0.
     """
 
     xs: np.ndarray
@@ -185,15 +187,24 @@ class PiecewiseLinearMap:
             raise ValueError("xs and ys must be one-dimensional and of equal length")
         if xs.size < 2:
             raise ValueError("at least two knots are required")
-        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
             raise ValueError("knots must be finite")
-        if not np.all(xs[1:] > xs[:-1]):
+        with np.errstate(all="ignore"):
+            dx, dy = xs[1:] - xs[:-1], ys[1:] - ys[:-1]
+            slopes = dy / dx
+        if not (dx > 0).all():
             raise ValueError("knot xs must be strictly increasing")
-        if not np.all(ys[1:] >= ys[:-1]):
+        if not (dy >= 0).all():
             raise ValueError("knot ys must be non-decreasing")
+        if np.isinf(dx).any() or np.isinf(dy).any():
+            raise ValueError("a knot span overflows float64")
+        if np.isinf(slopes).any():
+            raise ValueError("a knot slope overflows float64")
+        # A flat segment has slope 0; a rising one only when its slope underflows.
+        if np.count_nonzero(slopes) != np.count_nonzero(dy):
+            raise ValueError("the slope of a rising segment underflows to 0")
         xs.setflags(write=False)
         ys.setflags(write=False)
-        slopes = (ys[1:] - ys[:-1]) / (xs[1:] - xs[:-1])
         slopes.setflags(write=False)
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)

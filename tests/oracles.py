@@ -141,7 +141,9 @@ def lda_primal(X, y, lda_lambda: float) -> LdaModel:
     """Regularized Fisher LDA in the primal: form the p x p within-class
     scatter, add ``lda_lambda * trace / p`` to its diagonal (an absolute
     ridge when the trace is 0), and Cholesky-solve it against the scaled
-    class-mean offsets before the small between-class eigenproblem."""
+    class-mean offsets before the small between-class eigenproblem.  The
+    offsets are the class means of the rows of X - mu, as in
+    :func:`lda_explicit_q`."""
     X, y = np.asarray(X, dtype=float), np.asarray(y)
     classes = np.unique(y)
     p = X.shape[1]
@@ -155,7 +157,7 @@ def lda_primal(X, y, lda_lambda: float) -> LdaModel:
         class_means[k] = mc
         centered = Xc - mc
         scatter += centered.T @ centered
-        between[:, k] = np.sqrt(Xc.shape[0]) * (mc - mu)
+        between[:, k] = np.sqrt(Xc.shape[0]) * (Xc - mu).mean(axis=0)
     trace = float(np.trace(scatter))
     lam_eff = lda_lambda * trace / p if trace > 0 else float(lda_lambda)
     scatter[np.diag_indices_from(scatter)] += lam_eff

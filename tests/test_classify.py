@@ -375,16 +375,23 @@ class TestFitLdaAgainstPrimal:
         self.assert_matches_primal(train, test.rows)
 
     @pytest.mark.parametrize(
-        "n_per_class, n_constant", [(50, 0), (20, 200)], ids=["n-above-p", "low-rank-rows"]
+        "sizes, n_constant, constant",
+        [((50, 50, 50), 0, 7.0), ((20, 20, 20), 200, 7.0), ((20, 13, 7), 200, 0.7)],
+        ids=["n-above-p", "low-rank-rows", "inexact-constant"],
     )
-    def test_blobs(self, n_per_class, n_constant):
+    def test_blobs(self, sizes, n_constant, constant):
         # Three 2-D blobs plus three noise features, and optionally constant
-        # features: 150 rows of 5 features, or 60 rows of rank 5 in 205.
-        blobs = TestFitLda().separated_blobs(np.random.default_rng(4), 3.0, n_per_class)
+        # features: 150 rows of 5 features, or 60 or 40 rows of rank 5 in 205.
+        # The means of 20, 13, 7 and 40 copies of 0.7 round differently, so
+        # class-mean offsets taken as mc - mu would differ by class along the
+        # constant features, and the solve would amplify them.
+        blobs = TestFitLda().separated_blobs(np.random.default_rng(4), 3.0, max(sizes))
         n = blobs.labels.size
         noise = np.random.default_rng(5).standard_normal((n, 3))
-        rows = np.hstack([blobs.rows, noise, np.full((n, n_constant), 7.0)])
-        train = FeatureMatrix(rows, blobs.labels, "raw_signal")
+        rows = np.hstack([blobs.rows, noise, np.full((n, n_constant), constant)])
+        keep = np.arange(n) % max(sizes) < np.repeat(sizes, max(sizes))
+        rows = rows[keep]
+        train = FeatureMatrix(rows, blobs.labels[keep], "raw_signal")
         self.assert_matches_primal(train, rows + 0.5)
 
 

@@ -5,13 +5,14 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from scdt.cli import main
 from scdt.fileio import read_signal_csv, write_signal_csv, write_transform_json
-from scdt.measures import GridDensity
+from scdt.measures import GridDensity, ReferenceMeasure
 from scdt.transform import CdtResult, ScdtResult, TransformConfig
 
 
@@ -44,6 +45,24 @@ class TestTransformInverse:
              "--ref", "gauss:0,1"]
         )
         assert code == 3
+
+    def test_overflowing_reference_slope_exit_3(self, tmp_path, capsys, signal_csv):
+        src = signal_csv("in.csv", self.SAMPLES)
+        code = main(["transform", "--input", src, "--output", str(tmp_path / "t.json"),
+                     "--ref", "pwl:0,0;1e-300,1e300"])
+        assert code == 3
+        assert "slope overflows" in capsys.readouterr().err
+
+    def test_subnormal_mass_reference_round_trip(self, tmp_path, capsys):
+        ref = ReferenceMeasure(np.array([0.0, 1.0]), np.array([0.0, 1e-320]))
+        cfg = TransformConfig(ref, n_quantiles=4)
+        tj = tmp_path / "t.json"
+        write_transform_json(tj, ScdtResult(CdtResult(np.ones(4), 1.0), CdtResult.zero(4)), cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["inverse", "--input", str(tj), "--output", str(tmp_path / "o.csv"),
+                         "--grid", "0,2,4"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_missing_input_exit_2(self, tmp_path):
         code = main(
@@ -221,6 +240,25 @@ class TestGenerate:
     def test_unknown_config_key_exit_2(self, tmp_path):
         cfg = self.config(tmp_path, extra_knob=1)
         assert main(["generate", "--config", cfg, "--outdir", str(tmp_path / "d")]) == 2
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("command", ["generate", "classify-demo"])
+    @pytest.mark.parametrize(
+        "override",
+        [{"n_grid": 1e999}, {"seed": 1e999}, {"n_quantiles": 1e999}, {"per_class": [2, 1e999, 2]}],
+        ids=["n_grid", "seed", "n_quantiles", "per_class"],
+    )
+    def test_overflowing_integer_key_exit_2(self, tmp_path, capsys, command, override):
+        # 1e999 reads as inf, which int() cannot convert.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"per_class": [2, 2, 2], "n_grid": 16, "n_quantiles": 16,
+                                   **override}).replace("Infinity", "1e999"))
+        outputs = (["--outdir", str(tmp_path / "d")] if command == "generate" else
+                   ["--report", str(tmp_path / "r.json"), "--plots", str(tmp_path / "p.csv")])
+        assert main([command, "--config", str(cfg), *outputs]) == 2
+        key = next(iter(override))
+        assert f"{key} must be an integer, got inf" in capsys.readouterr().err
 
 
 class TestClassifyDemo:

@@ -168,6 +168,21 @@ class TestTransformJson:
         with pytest.raises(ParseError):
             read_transform_json(path)
 
+    def test_boolean_version_rejected(self, tmp_path):
+        # JSON true equals 1 in Python; it is not the version number 1.
+        path = self.tampered(tmp_path, lambda o: o.update(version=True))
+        with pytest.raises(ParseError, match="unsupported version True"):
+            read_transform_json(path)
+
+    def test_nan_quantile_level_rejected(self, tmp_path):
+        # A NaN level compares False against any tolerance, so the grid
+        # check must ask for every level to be close, not for none to be far.
+        def mutate(o):
+            o["quantiles"][3] = float("nan")
+
+        with pytest.raises(ParseError, match="not the midpoint grid"):
+            read_transform_json(self.tampered(tmp_path, mutate))
+
     def test_non_midpoint_grid(self, tmp_path):
         def mutate(o):
             o["quantiles"][0] = 0.2

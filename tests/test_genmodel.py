@@ -69,6 +69,13 @@ class TestIncreasingReparam:
         xs = np.linspace(-1.0, 4.0, 21)
         assert np.allclose(g.inverse(g(xs)), xs, rtol=1e-12, atol=1e-12)
 
+    def test_piecewise_linear_inverse_is_the_preimage(self):
+        # A subnormal rise on the first segment: its slope 1e-320 still
+        # divides exactly, where the reciprocal slope 1e320 would overflow.
+        g = IncreasingReparam.piecewise_linear([0.0, 1.0, 2.0], [0.0, 1e-320, 1.0])
+        assert g.inverse(0.5e-320) == 0.5
+        assert np.array_equal(g.inverse(g.pwl.ys), g.pwl.xs)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             IncreasingReparam("rotation")

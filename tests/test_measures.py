@@ -3,6 +3,8 @@ checked against prefix-sum and linear-scan oracles."""
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -215,6 +217,31 @@ class TestReferenceMeasure:
             ReferenceMeasure.uniform(1.0, 1.0)
         with pytest.raises(InvalidReferenceError):
             ReferenceMeasure.uniform(0.0, 1.0, mass=0.0)
+
+    @pytest.mark.parametrize("top", [1e-320, 1e308])
+    def test_extreme_mass_quantiles_are_exact(self, top):
+        # The quantile is the preimage of p * mass under the CDF map itself,
+        # so a subnormal or near-maximal mass still inverts to the knots.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ref = ReferenceMeasure(np.array([0.0, 1.0]), np.array([0.0, top]))
+            p = np.array([0.0, 0.25, 0.5, 1.0])
+            assert np.array_equal(ref.quantile(p), p)
+            assert np.array_equal(ref.cdf_eval(ref.quantile(p)), p * top)
+
+    @pytest.mark.parametrize(
+        "xs, ys, cause",
+        [
+            ([0.0, 1e-300], [0.0, 1e300], "slope overflows"),
+            ([-1e308, 1e308], [0.0, 1.0], "span overflows"),
+            ([0.0, 1e300], [0.0, 1e-300], "underflows to 0"),
+        ],
+    )
+    def test_knots_float64_cannot_hold_are_refused(self, xs, ys, cause):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidReferenceError, match=cause):
+                ReferenceMeasure(np.array(xs), np.array(ys))
 
     def test_quantile_identity_reference(self):
         ref = ReferenceMeasure.uniform(0.0, 1.0)

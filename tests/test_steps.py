@@ -3,6 +3,8 @@ checked against literal scan oracles and their own defining identities."""
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -271,6 +273,21 @@ class TestPiecewiseLinear:
             PiecewiseLinearMap(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
             PiecewiseLinearMap(np.array([0.0, POS_INF]), np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize(
+        "xs, ys, cause",
+        [
+            ([0.0, 1e-300], [0.0, 1e300], "slope overflows"),
+            ([-1e308, 1e308], [0.0, 1.0], "span overflows"),
+            ([0.0, 1.0], [-1e308, 1e308], "span overflows"),
+            ([0.0, 1e300], [0.0, 1e-300], "underflows to 0"),
+        ],
+    )
+    def test_knots_float64_cannot_hold_are_refused(self, xs, ys, cause):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=cause):
+                PiecewiseLinearMap(np.array(xs), np.array(ys))
 
     @given(pwl_maps())
     def test_knots_evaluate_exactly(self, g):
