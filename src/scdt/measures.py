@@ -194,7 +194,9 @@ class ReferenceMeasure:
             )
         if cdf.ys[0] != 0:
             raise InvalidReferenceError("reference CDF must start at 0")
-        self.__dict__.update(xs=cdf.xs, ys=cdf.ys, _cdf=cdf)
+        object.__setattr__(self, "xs", cdf.xs)
+        object.__setattr__(self, "ys", cdf.ys)
+        object.__setattr__(self, "_cdf", cdf)
 
     @classmethod
     def uniform(cls, a: float = 0.0, b: float = 1.0, mass: float = 1.0) -> "ReferenceMeasure":
