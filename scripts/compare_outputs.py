@@ -12,7 +12,11 @@ Each checkout's ``src`` is imported in its own interpreter, which dumps:
 - ``generate_dataset`` labels and samples on the same seeds, and the three
   class templates on the default grid;
 - ``featurize`` rows of both kinds (raw samples and transforms) of those
-  datasets;
+  datasets, and transform rows at M = 2^17 of 64-bin signed densities at
+  the scales 1e-320 and 1e300 and of a batch mixing 1e-320, 1e-305, 1 and
+  1e300 (``featurize/extreme/*``, warnings raised as errors); the part
+  totals of the smaller two scales are too small to count levels against
+  at that M, so those rows take the kernel's level-by-level search;
 - ``generate_dataset`` on two configs whose warps cannot be rebinned: atoms
   off the grid and atoms that collapse onto each other (both raise);
 - ``scdt_forward`` samples and masses, ``rebin(scdt_inverse(...))``,
@@ -148,6 +152,17 @@ def _extreme_pairs(scdt):
     return pairs
 
 
+def _extreme_features(scdt, scales):
+    """Transform rows at M = 2^17 of signed 64-bin densities on bins of width
+    1, one per scale; part totals below about 7e-304 cannot be counted at
+    that M, so their rows are searched level by level."""
+    rng = np.random.default_rng(3)
+    signals = [(0, scdt.GridDensity(0.0, 64.0, rng.choice((-1.0, 0.0, 1.0), size=64)
+                                    * rng.uniform(1.0, 2.0, size=64) * scale))
+               for scale in scales]
+    return scdt.featurize(signals, "scdt", scdt.TransformConfig(n_quantiles=LARGE_M)).rows
+
+
 def _reference_round_trip(scdt, xs, ys):
     """``(quantile(q), cdf_eval(quantile(q)))`` at the 1024 midpoint levels q."""
     ref = scdt.ReferenceMeasure(np.array(xs), np.array(ys))
@@ -221,6 +236,9 @@ def dump():
         for kind in scdt.classify.FEATURE_KINDS:
             features = scdt.featurize(signals, kind, scdt.TransformConfig())
             out[f"featurize/{kind}/{seed}"] = (features.labels, features.rows)
+    for name, scales in (("1e-320", [1e-320] * 4), ("1e300", [1e300] * 4),
+                         ("mixed", [1e-320, 1e-305, 1.0, 1e300])):
+        out[f"featurize/extreme/{name}"] = _checked(lambda: _extreme_features(scdt, scales))
     edge_configs = {
         "off_grid": dict(a_range=(0.1, 0.1)),
         "collapsing": dict(t0=-3.0, a_range=(1e15, 1e15), b_range=(1e15, 1e15), per_class=1),

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from typing import Any, Dict, List, Optional, Union
@@ -91,10 +92,13 @@ def read_experiment_config(path: Union[str, os.PathLike]) -> ExperimentConfig:
         raise ParseError(f"{path}: unknown keys {sorted(unknown)}")
 
     def integer(value: Any, key: str) -> int:
+        error = ParseError(f"{path}: {key} must be an integer, got {value!r}")
+        if isinstance(value, bool):
+            raise error
         try:
             return int(value)
         except (TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(f"{path}: {key} must be an integer, got {value!r}") from exc
+            raise error from exc
 
     gen_kwargs: Dict[str, Any] = {}
     for key in _GEN_KEYS & set(obj):
@@ -106,8 +110,10 @@ def read_experiment_config(path: Union[str, os.PathLike]) -> ExperimentConfig:
             value = (float(arr[0]), float(arr[1]))
         elif key == "per_class" and isinstance(value, list):
             value = tuple(integer(c, key) for c in value)
-        elif key in ("n_grid", "seed"):
+        elif key in ("n_grid", "seed", "per_class"):
             value = integer(value, key)
+        else:
+            value = _decode_float(value, key)
         gen_kwargs[key] = value
     try:
         gen = GenConfig(**gen_kwargs)
@@ -126,6 +132,8 @@ def read_experiment_config(path: Union[str, os.PathLike]) -> ExperimentConfig:
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     lda_lambda = _decode_float(obj.get("lda_lambda", DEFAULT_LDA_LAMBDA), "lda_lambda")
+    if not 0 < lda_lambda < math.inf:
+        raise ParseError(f"{path}: lda_lambda must be finite and positive, got {lda_lambda!r}")
     return ExperimentConfig(gen, transform, lda_lambda)
 
 

@@ -46,17 +46,9 @@ def _geninv_search(values: np.ndarray, breakpoints: np.ndarray, y: ArrayLike) ->
 
     The one generalized-inverse search of the package, shared by
     :meth:`StepFunction.geninv_eval`, quantile sampling of measures and the
-    batched grid transform.  For that last caller ``values`` is 2-D, one step
-    function per row over the shared ``breakpoints``, and row ``i`` of ``y``
-    is searched in row ``i`` of ``values`` alone, with the same comparisons
-    as a 1-D search.
+    rows of the batched grid transform that its level counts cannot settle.
     """
-    if values.ndim == 2:
-        j = np.empty(np.shape(y), dtype=np.intp)
-        for row, (v, level) in enumerate(zip(values, y)):
-            j[row] = np.searchsorted(v, level, side="right")
-    else:
-        j = np.searchsorted(values, y, side="right")
+    j = np.searchsorted(values, y, side="right")
     return np.concatenate(([NEG_INF], breakpoints, [POS_INF]))[j]
 
 
@@ -216,7 +208,7 @@ class PiecewiseLinearMap:
         finite = np.where(np.isfinite(xa), xa, self.xs[0])
         i = np.clip(np.searchsorted(self.xs, finite, side="right") - 1, 0, n - 1)
         s = self.slopes[np.minimum(i, n - 2)]
-        out = self.ys[i] + (finite - self.xs[i]) * s
+        out = _along(self.ys[i], self.xs[i], finite, s)
         out = np.where(xa == POS_INF, POS_INF if self.slopes[-1] > 0 else self.ys[-1], out)
         out = np.where(xa == NEG_INF, NEG_INF if self.slopes[0] > 0 else self.ys[0], out)
         if np.ndim(x) == 0:
@@ -244,19 +236,19 @@ class PiecewiseLinearMap:
 
         if np.any(lo):
             if self.slopes[0] > 0:
-                out[lo] = self.xs[0] + (ya[lo] - self.ys[0]) / self.slopes[0]
+                out[lo] = _along(self.xs[0], self.ys[0], ya[lo], self.slopes[0], divide=True)
             else:
                 # Flat to the left: every x at or below the plateau qualifies.
                 out[lo] = NEG_INF
         if np.any(hi):
             if self.slopes[-1] > 0:
-                out[hi] = self.xs[-1] + (ya[hi] - self.ys[-1]) / self.slopes[-1]
+                out[hi] = _along(self.xs[-1], self.ys[-1], ya[hi], self.slopes[-1], divide=True)
             else:
                 out[hi] = POS_INF
         if np.any(mid):
             jm = j[mid]
             seg = jm - 1
-            out[mid] = self.xs[seg] + (ya[mid] - self.ys[seg]) / self.slopes[seg]
+            out[mid] = _along(self.xs[seg], self.ys[seg], ya[mid], self.slopes[seg], divide=True)
             hit = ya[mid] == self.ys[jm]
             if np.any(hit):
                 vals = out[mid]
@@ -265,6 +257,22 @@ class PiecewiseLinearMap:
         if scalar:
             return float(out[0])
         return out
+
+
+def _along(origin, start, t, slope, divide=False):
+    """``origin + (t - start) * slope`` (``/ slope`` if ``divide``), the point at
+    ``t`` of a segment of a piecewise-linear map or of its extension.  Where a
+    term overflows the point is taken from the halved terms, so a finite ``t``
+    raises :class:`ValueError` only when the point itself lies outside float64."""
+    op = np.divide if divide else np.multiply
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = origin + op(t - start, slope)
+        over = ~np.isfinite(out) & np.isfinite(t)
+        if np.any(over):
+            out = np.where(over, 2 * (origin / 2 + op(t / 2 - start / 2, slope)), out)
+    if np.any(~np.isfinite(out) & np.isfinite(t)):
+        raise ValueError("an extrapolated end segment overflows float64")
+    return out
 
 
 def compose(f: StepFunction, g: PiecewiseLinearMap) -> StepFunction:

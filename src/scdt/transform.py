@@ -180,9 +180,15 @@ def scdt_forward_batch(
 
     Row ``i`` equals ``scdt_forward(measure_from_density(GridDensity(t0, t1,
     samples[i])), cfg)`` bit for bit: a zero bin adds exactly 0.0 to the
-    row-wise cumulative sums, so masses and quantile searches see the same
-    floats as the per-signal atoms, and an empty part gets the (all-zero
-    samples, mass 0) convention.  Rows that floating point cannot bin are
+    row-wise cumulative sums, so masses and levels are the same floats as
+    for the per-signal atoms, and an empty part gets the (all-zero samples,
+    mass 0) convention.  Instead of searching each level, the kernel counts
+    the levels ``q_j * total`` below each bin's cumulative weight ``c``:
+    ``ceil(c * M / total - 1/2)`` is confirmed with one step each way
+    against those exact levels, and each bin centre is repeated by its
+    count.  A part whose counts one step cannot confirm (in practice a total
+    so small that ``M / total`` overflows) is searched level by level as in
+    :func:`measure_quantiles`.  Rows that floating point cannot bin are
     replayed through :func:`measure_from_density`, which raises its own
     :class:`RangeError` for the first of them.
     """
@@ -196,20 +202,55 @@ def scdt_forward_batch(
     centers = grid.bin_centers()
     w = np.abs(x) * grid.bin_width
     m = cfg.n_quantiles
-    out = np.zeros((n_signals, 2 * m + 2))
+    # Level j is levels[j + 1] * total; the sentinels stand for levels -1 and M,
+    # so every count stays in [0, M].
+    levels = np.concatenate(([-np.inf], cfg.quantiles, [np.inf]))
+    # Per row and part: each bin centre and then the mass, with the number of times
+    # each is written; one repeat writes every row.
+    values = np.empty((n_signals, 2, n_bins + 1))
+    counts = np.ones((n_signals, 2, n_bins + 1), dtype=np.intp)
+    searched = []
     # On a grid whose bin centres collide only the atoms of a row show whether it fails.
     suspect = np.full(n_signals, not np.all(centers[1:] > centers[:-1]))
-    for col, mask in ((0, x > 0), (m + 1, x < 0)):
+    for part, mask in enumerate((x > 0, x < 0)):
         csum = np.zeros((n_signals, n_bins + 1))
-        np.cumsum(np.where(mask, w, 0.0), axis=1, out=csum[:, 1:])
+        c = csum[:, 1:]
+        np.cumsum(np.where(mask, w, 0.0), axis=1, out=c)
         total = csum[:, -1]
         suspect |= ~np.isfinite(total) | np.any(mask & ((w == 0) | ~np.isfinite(w)), axis=1)
         rows = np.any(mask, axis=1)
-        found = _geninv_search(csum[rows], centers, cfg.quantiles * total[rows, None])
-        # Clamp to the last atom of the part, where q * total rounds up to it.
-        last = centers[n_bins - 1 - np.argmax(mask[rows, ::-1], axis=1)]
-        out[rows, col : col + m] = np.minimum(found, last[:, None])
-        out[rows, col + m] = total[rows]
+        # e[r, k] = #{j : q_j * total_r < c[r, k]}: the estimate c * M / total - 1/2,
+        # rounded up, is stepped once towards the exact levels and confirmed there, so
+        # a poor estimate (where M / total overflows) only sends the part to the search.
+        # An empty part counts against a total of 1.
+        t = np.where(total > 0, total, 1.0)[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            est = c * (m / t)
+        est -= 0.5
+        e = np.fmin(np.fmax(np.ceil(est, out=est), 0.0), m).astype(np.intp)
+        below = levels[e] * t < c
+        short = levels[e + 1] * t < c
+        e += short
+        e -= ~below
+        # From the part's last atom on, the levels left over (those that round up
+        # to the total) all go to that atom: the clamp of the search.
+        last = n_bins - 1 - np.argmax(mask[:, ::-1], axis=1)
+        after = np.arange(n_bins) >= last[:, None]
+        # A step is confirmed by the level beyond it: e - 1 stays below c, e + 1 does not.
+        ok = after | ((levels[e + short] * t < c) ^ short)
+        e[after] = m
+        fallback = np.flatnonzero(rows & ~ok.all(axis=1))
+        e[fallback] = m  # any valid counts: the searched samples replace the row
+        for r in fallback:
+            found = _geninv_search(csum[r], centers, cfg.quantiles * total[r])
+            searched.append((r, part, np.minimum(found, centers[last[r]])))
+        values[:, part, :-1] = np.where(rows[:, None], centers, 0.0)
+        values[:, part, -1] = total
+        counts[:, part, 0] = e[:, 0]
+        np.subtract(e[:, 1:], e[:, :-1], out=counts[:, part, 1:-1])
+    out = np.repeat(values, counts.ravel()).reshape(n_signals, 2 * m + 2)
+    for r, part, found in searched:
+        out.reshape(n_signals, 2, m + 1)[r, part, :m] = found
     for i in np.flatnonzero(suspect):
         measure_from_density(GridDensity(t0, t1, x[i]))
     return out

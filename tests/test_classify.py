@@ -16,6 +16,8 @@ from scdt.classify import FeatureMatrix, _apply_q, featurize, fit_lda, run_exper
 from scdt.errors import ScdtError
 from scdt.genmodel import GenConfig, generate_dataset
 from scdt.measures import GridDensity, measure_from_density
+from scdt import transform
+from scdt.steps import _geninv_search
 from scdt.transform import TransformConfig, scdt_forward, scdt_forward_batch
 
 
@@ -154,8 +156,22 @@ def signals_on_one_grid(draw):
     return signals
 
 
+def searched_rows(monkeypatch):
+    """The lengths of the rows ``scdt_forward_batch`` hands to its 1-D search."""
+    calls = []
+
+    def search(values, breakpoints, y):
+        calls.append(values.size)
+        return _geninv_search(values, breakpoints, y)
+
+    monkeypatch.setattr(transform, "_geninv_search", search)
+    return calls
+
+
 class TestTransformKernel:
-    @given(signals_on_one_grid(), st.integers(min_value=2, max_value=64))
+    @given(signals_on_one_grid(),
+           st.one_of(st.integers(min_value=2, max_value=64), st.sampled_from([1024, 4096, 2**17]),
+                     st.integers(min_value=65, max_value=2**17)))
     def test_rows_equal_the_per_signal_transforms_bit_for_bit(self, signals, n_quantiles):
         cfg = TransformConfig(n_quantiles=n_quantiles)
         try:
@@ -177,6 +193,29 @@ class TestTransformKernel:
         got = featurize(signals, "scdt", cfg).rows
         assert got.tobytes() == per_signal_rows(signals, cfg).tobytes()
         assert np.array_equal(got[0, :8], [0.5] * 2 + [4.5] * 6)
+
+    @pytest.mark.filterwarnings("error")
+    def test_rows_whose_levels_cannot_be_counted_are_searched(self, monkeypatch):
+        # Part totals from subnormal to near overflow at M = 2^17 on bins of width 1.
+        # Where M / total overflows the levels are searched, not counted.
+        rng = np.random.default_rng(7)
+        scales = [5e-324, 1e-320, 1e-310, 1e-305, 1e-300, 1.0, 1e300, 5e306]
+        rows = np.array([rng.choice((-1.0, 0.0, 1.0), size=24) * rng.uniform(1, 2, size=24) * a
+                         for a in scales])
+        rows[1] = np.where(rows[1] > 0, 5e306, rows[1])  # beside a subnormal minus part
+        assert np.all(np.any(rows > 0, axis=1) & np.any(rows < 0, axis=1))
+        signals = [(i, GridDensity(-3.0, 21.0, row)) for i, row in enumerate(rows)]
+        cfg = TransformConfig(n_quantiles=2**17)
+        searched = searched_rows(monkeypatch)
+        got = featurize(signals, "scdt", cfg).rows
+        assert len(searched) == 7  # both parts of rows 0, 2 and 3; the minus part of row 1
+        assert got.tobytes() == per_signal_rows(signals, cfg).tobytes()
+
+    def test_benchmark_rows_are_all_counted(self, monkeypatch):
+        searched = searched_rows(monkeypatch)
+        features = featurize(generate_dataset(GenConfig()), "scdt", TransformConfig(n_quantiles=1024))
+        assert features.rows.shape == (500, 2050)
+        assert searched == []
 
     def test_kernel_validates_its_arrays(self):
         cfg = TransformConfig(n_quantiles=4)

@@ -260,6 +260,37 @@ class TestConfigErrors:
         key = next(iter(override))
         assert f"{key} must be an integer, got inf" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["generate", "classify-demo"])
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"t0": True}, "t0: expected a number, got True"),
+            ({"t1": True}, "t1: expected a number, got True"),
+            ({"noise_sigma": True}, "noise_sigma: expected a number, got True"),
+            ({"n_grid": True}, "n_grid must be an integer, got True"),
+            ({"seed": True}, "seed must be an integer, got True"),
+            ({"n_quantiles": True}, "n_quantiles must be an integer, got True"),
+            ({"per_class": True}, "per_class must be an integer, got True"),
+            ({"per_class": [2, True, 2]}, "per_class must be an integer, got True"),
+            ({"lda_lambda": "NaN"}, "lda_lambda must be finite and positive, got nan"),
+            ({"lda_lambda": "1e999"}, "lda_lambda must be finite and positive, got inf"),
+            ({"lda_lambda": -1.0}, "lda_lambda must be finite and positive, got -1.0"),
+        ],
+        ids=["t0", "t1", "noise_sigma", "n_grid", "seed", "n_quantiles", "per_class",
+             "per_class-entry", "lda_lambda-nan", "lda_lambda-inf", "lda_lambda-negative"],
+    )
+    def test_boolean_and_bad_lda_lambda_exit_2(self, tmp_path, capsys, command, override,
+                                                message):
+        # JSON true is not a number; "NaN" and "1e999" are written bare, as JSON readers take them.
+        text = json.dumps({"per_class": [2, 2, 2], "n_grid": 16, "n_quantiles": 16, **override})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text.replace('"NaN"', "NaN").replace('"1e999"', "1e999"))
+        outputs = (["--outdir", str(tmp_path / "d")] if command == "generate" else
+                   ["--report", str(tmp_path / "r.json"), "--plots", str(tmp_path / "p.csv")])
+        assert main([command, "--config", str(cfg), *outputs]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
 
 class TestClassifyDemo:
     def test_demo_outputs(self, tmp_path, capsys, monkeypatch):

@@ -1,9 +1,10 @@
 """Hostile files through ``scdt.cli.main``: mutated signal CSVs, transform
 JSONs and experiment configs end in an exit code the README lists, and no
 exception escapes ``main``.  A number replaced by NaN, ``true``, a string or
-a nested list is refused in a signal CSV or a transform JSON (in a CSV,
-``1e999`` too), and so are a transform-JSON array of the wrong length, a CSV
-row with the wrong number of columns and a non-uniform ``t`` column.
+a nested list is refused in a signal CSV, a transform JSON or an experiment
+config (in a CSV or a config, ``1e999`` too), and so are a transform-JSON
+array of the wrong length, a CSV row with the wrong number of columns and a
+non-uniform ``t`` column.
 
 A mutation poisons one number, resizes one array by one entry or damages
 the bytes, so no size grows past the base files' (8 bins, 8 or 16
@@ -149,7 +150,8 @@ def test_hostile_files_exit_with_a_listed_code(workdir, data, kind, damage, vari
             text, must_refuse = data.draw(mutated_csv(base)), True
         else:
             text, poison = data.draw(mutated_json(json.loads(base)))
-            must_refuse = kind == "transform" and poison != "1e999"
+            # inf is a valid transform sample; no config value may be poisoned.
+            must_refuse = poison != "1e999" if kind == "transform" else poison is not None
         content = text.encode()
     path = workdir / f"hostile.{kind}"
     path.write_bytes(content)

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -75,6 +76,11 @@ class TestIncreasingReparam:
         g = IncreasingReparam.piecewise_linear([0.0, 1.0, 2.0], [0.0, 1e-320, 1.0])
         assert g.inverse(0.5e-320) == 0.5
         assert np.array_equal(g.inverse(g.pwl.ys), g.pwl.xs)
+        # Below the first knot the inverse is -1e320, which float64 cannot hold.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows float64"):
+                g.inverse(-1.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -347,6 +347,38 @@ class TestPiecewiseLinear:
         assert g.preimage(POS_INF) == POS_INF
         assert g.preimage(NEG_INF) == NEG_INF
 
+    @pytest.mark.parametrize(
+        "xs, ys, method, arg",
+        [
+            ([0.0, 1.0, 2.0], [0.0, 1e-320, 1.0], "preimage", -1.0),
+            ([0.0, 1.0, 2.0], [-1.0, 0.0, 1e-320], "preimage", 2.0),
+            ([0.0, 1.0], [0.0, 1e300], "__call__", 1e10),
+            ([0.0, 1.0], [0.0, 1e300], "__call__", [0.5, -1e10]),
+            ([1e308, 1.5e308, 1.6e308], [0.0, 0.0, 1.0], "preimage", 5.0),
+        ],
+        ids=["subnormal-first-slope", "subnormal-last-slope", "steep", "steep-array", "far-knots"],
+    )
+    def test_end_segment_overflow_raises(self, xs, ys, method, arg):
+        g = PiecewiseLinearMap(np.array(xs), np.array(ys))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="extrapolated end segment overflows float64"):
+                getattr(g, method)(arg)
+
+    def test_overflowing_terms_of_a_representable_point(self):
+        # x - xs[-1] overflows, but the point 1 + 1.9e308 * 1e-307 is about 20.
+        g = PiecewiseLinearMap(np.array([-1e308, -0.9e308]), np.array([0.0, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert g(1e308) == pytest.approx(20.0, rel=1e-12)
+            assert g.preimage(-1.8e308) == pytest.approx(-1.8e315 / 1e7 - 1e308, rel=1e-12)
+            assert g.preimage(g(1e308)) == pytest.approx(1e308, rel=1e-12)
+            flat = PiecewiseLinearMap(np.array([1e308, 1.5e308, 1.6e308]),
+                                      np.array([3.0, 3.0, 4.0]))
+            assert flat(-1e308) == 3.0
+            assert flat.preimage(-5.0) == NEG_INF
+            assert np.array_equal(flat([POS_INF, NEG_INF]), [POS_INF, 3.0])
+
 
 # --- composition ------------------------------------------------------------
 
