@@ -16,7 +16,13 @@ Each checkout's ``src`` is imported in its own interpreter, which dumps:
   the scales 1e-320 and 1e300 and of a batch mixing 1e-320, 1e-305, 1 and
   1e300 (``featurize/extreme/*``, warnings raised as errors); the part
   totals of the smaller two scales are too small to count levels against
-  at that M, so those rows take the kernel's level-by-level search;
+  at that M, so those rows take the kernel's per-signal replay;
+- ``featurize`` on the grid ``[1e16, 1e16 + 8]`` of 8 bins, whose
+  neighbouring bin centres collide (``featurize/collide-grid``): a row
+  with one atom per colliding pair, which must equal the per-signal
+  transform, and that row next to one whose atoms collide, which raises;
+- ``read_signal_csv`` of files whose ``t`` span or half-bin edge
+  overflows float64 (``csv/overflow/*``), with warnings raised as errors;
 - ``generate_dataset`` on two configs whose warps cannot be rebinned: atoms
   off the grid and atoms that collapse onto each other (both raise);
 - ``scdt_forward`` samples and masses, ``rebin(scdt_inverse(...))``,
@@ -155,12 +161,16 @@ def _extreme_pairs(scdt):
 def _extreme_features(scdt, scales):
     """Transform rows at M = 2^17 of signed 64-bin densities on bins of width
     1, one per scale; part totals below about 7e-304 cannot be counted at
-    that M, so their rows are searched level by level."""
+    that M, so their rows are replayed through the per-signal transform."""
     rng = np.random.default_rng(3)
     signals = [(0, scdt.GridDensity(0.0, 64.0, rng.choice((-1.0, 0.0, 1.0), size=64)
                                     * rng.uniform(1.0, 2.0, size=64) * scale))
                for scale in scales]
     return scdt.featurize(signals, "scdt", scdt.TransformConfig(n_quantiles=LARGE_M)).rows
+
+
+def _density(d):
+    return d.t0, d.t1, d.samples
 
 
 def _reference_round_trip(scdt, xs, ys):
@@ -207,6 +217,7 @@ def _blobs(scdt, n_per_class, n_constant):
 
 def dump():
     import scdt
+    import scdt.fileio
 
     out = {}
     for seed in SEEDS:
@@ -239,6 +250,21 @@ def dump():
     for name, scales in (("1e-320", [1e-320] * 4), ("1e300", [1e300] * 4),
                          ("mixed", [1e-320, 1e-305, 1.0, 1e300])):
         out[f"featurize/extreme/{name}"] = _checked(lambda: _extreme_features(scdt, scales))
+    collide_grid = [(0, scdt.GridDensity(1e16, 1e16 + 8, np.array([1.0, 0, -2, 0, 3, 0, 0, 0]))),
+                    (1, scdt.GridDensity(1e16, 1e16 + 8, np.array([0.0, 1, 1, 0, 0, 0, 0, 0])))]
+    out["featurize/collide-grid"] = tuple(
+        _checked(lambda: scdt.featurize(signals, "scdt", scdt.TransformConfig()).rows)
+        for signals in (collide_grid[:1], collide_grid))
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, rows in (("t-span", "-1.7e308,1\n0,1\n1.7e308,1\n"),
+                           ("bin-edge", "1.7e308,1\n1.79e308,1\n")):
+            path = os.path.join(tmp, f"{name}.csv")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("t,value\n" + rows)
+            r = _checked(lambda: _density(scdt.fileio.read_signal_csv(path)))
+            # The message names the file; its temporary directory is left out.
+            out[f"csv/overflow/{name}"] = (r[:2] + (r[2].replace(tmp, ""),) + r[3:]
+                                           if _raised(r) else r)
     edge_configs = {
         "off_grid": dict(a_range=(0.1, 0.1)),
         "collapsing": dict(t0=-3.0, a_range=(1e15, 1e15), b_range=(1e15, 1e15), per_class=1),

@@ -92,13 +92,12 @@ def read_experiment_config(path: Union[str, os.PathLike]) -> ExperimentConfig:
         raise ParseError(f"{path}: unknown keys {sorted(unknown)}")
 
     def integer(value: Any, key: str) -> int:
-        error = ParseError(f"{path}: {key} must be an integer, got {value!r}")
-        if isinstance(value, bool):
-            raise error
-        try:
+        # Whole numbers only: int() would truncate 16.9 and parse "7".
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        if isinstance(value, float) and value.is_integer():
             return int(value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise error from exc
+        raise ParseError(f"{path}: {key} must be an integer, got {value!r}")
 
     gen_kwargs: Dict[str, Any] = {}
     for key in _GEN_KEYS & set(obj):

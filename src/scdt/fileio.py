@@ -102,13 +102,17 @@ def read_signal_csv(path: Union[str, os.PathLike]) -> GridDensity:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     if len(ts) < 2:
         raise ParseError(f"{path}: need at least two data rows")
-    t = np.array(ts)
-    dt = (t[-1] - t[0]) / (len(ts) - 1)
+    dt = (ts[-1] - ts[0]) / (len(ts) - 1)
+    t0, t1 = ts[0] - dt / 2, ts[-1] + dt / 2
     if dt <= 0:
         raise ParseError(f"{path}: t column must be strictly increasing")
-    if np.max(np.abs(np.diff(t) - dt)) > SPACING_RTOL * abs(dt):
-        raise ParseError(f"{path}: t values are not uniformly spaced")
-    return GridDensity(t[0] - dt / 2, t[-1] + dt / 2, np.array(vs))
+    if not math.isfinite(t1 - t0):
+        raise ParseError(f"{path}: the bins of t from {ts[0]!r} to {ts[-1]!r} span "
+                         f"[{t0!r}, {t1!r}], which overflows float64")
+    with np.errstate(over="ignore"):  # a gap between unsorted t may overflow
+        if np.max(np.abs(np.diff(ts) - dt)) > SPACING_RTOL * abs(dt):
+            raise ParseError(f"{path}: t values are not uniformly spaced")
+    return GridDensity(t0, t1, np.array(vs))
 
 
 # --- reference measures -----------------------------------------------------

@@ -267,8 +267,9 @@ def measure_from_density(d: GridDensity) -> SignedMeasure:
     collide = not width > 4 * np.spacing(abs(d.t0) + 2 * d.n_bins * width)
     collide = collide and not np.all(np.diff(d.bin_centers()[d.samples != 0]) > 0)
     idx = [np.flatnonzero(d.samples > 0), np.flatnonzero(d.samples < 0)]
-    w = [np.abs(d.samples[i]) * width for i in idx]
-    totals = [_checked_total(None, part) for part in w]
+    with np.errstate(over="ignore"):
+        w = [np.abs(d.samples[i]) * width for i in idx]
+        totals = [_checked_total(None, part) for part in w]
     for failed, cause in (
         (collide, "bin centres collide in floating point"),
         (any(np.any(part == 0) for part in w),

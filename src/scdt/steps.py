@@ -45,8 +45,8 @@ def _geninv_search(values: np.ndarray, breakpoints: np.ndarray, y: ArrayLike) ->
     when no value exceeds ``y``.
 
     The one generalized-inverse search of the package, shared by
-    :meth:`StepFunction.geninv_eval`, quantile sampling of measures and the
-    rows of the batched grid transform that its level counts cannot settle.
+    :meth:`StepFunction.geninv_eval` and :func:`measure_quantiles`, which the
+    batched grid transform replays for the rows its counts cannot settle.
     """
     j = np.searchsorted(values, y, side="right")
     return np.concatenate(([NEG_INF], breakpoints, [POS_INF]))[j]

@@ -26,7 +26,6 @@ from .measures import (
     measure_quantiles,
     pushforward,
 )
-from .steps import _geninv_search
 
 __all__ = [
     "TransformConfig",
@@ -186,11 +185,10 @@ def scdt_forward_batch(
     the levels ``q_j * total`` below each bin's cumulative weight ``c``:
     ``ceil(c * M / total - 1/2)`` is confirmed with one step each way
     against those exact levels, and each bin centre is repeated by its
-    count.  A part whose counts one step cannot confirm (in practice a total
-    so small that ``M / total`` overflows) is searched level by level as in
-    :func:`measure_quantiles`.  Rows that floating point cannot bin are
-    replayed through :func:`measure_from_density`, which raises its own
-    :class:`RangeError` for the first of them.
+    count.  Every other row (counts one step cannot confirm, in practice where
+    ``M / total`` overflows, or atoms floating point may not hold) is replayed
+    through :func:`measure_from_density` and :func:`scdt_forward`, which
+    raise their own :class:`RangeError` for a row that cannot be binned.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 2 or x.shape[1] < 1:
@@ -200,7 +198,8 @@ def scdt_forward_batch(
     n_signals, n_bins = x.shape
     grid = GridDensity(t0, t1, np.zeros(n_bins))
     centers = grid.bin_centers()
-    w = np.abs(x) * grid.bin_width
+    with np.errstate(over="ignore"):
+        w = np.abs(x) * grid.bin_width
     m = cfg.n_quantiles
     # Level j is levels[j + 1] * total; the sentinels stand for levels -1 and M,
     # so every count stays in [0, M].
@@ -209,19 +208,17 @@ def scdt_forward_batch(
     # each is written; one repeat writes every row.
     values = np.empty((n_signals, 2, n_bins + 1))
     counts = np.ones((n_signals, 2, n_bins + 1), dtype=np.intp)
-    searched = []
     # On a grid whose bin centres collide only the atoms of a row show whether it fails.
     suspect = np.full(n_signals, not np.all(centers[1:] > centers[:-1]))
     for part, mask in enumerate((x > 0, x < 0)):
-        csum = np.zeros((n_signals, n_bins + 1))
-        c = csum[:, 1:]
-        np.cumsum(np.where(mask, w, 0.0), axis=1, out=c)
-        total = csum[:, -1]
+        with np.errstate(over="ignore"):
+            c = np.cumsum(np.where(mask, w, 0.0), axis=1)
+        total = c[:, -1]
         suspect |= ~np.isfinite(total) | np.any(mask & ((w == 0) | ~np.isfinite(w)), axis=1)
         rows = np.any(mask, axis=1)
         # e[r, k] = #{j : q_j * total_r < c[r, k]}: the estimate c * M / total - 1/2,
         # rounded up, is stepped once towards the exact levels and confirmed there, so
-        # a poor estimate (where M / total overflows) only sends the part to the search.
+        # a poor estimate (where M / total overflows) only sends the row to the replay.
         # An empty part counts against a total of 1.
         t = np.where(total > 0, total, 1.0)[:, None]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -234,25 +231,20 @@ def scdt_forward_batch(
         e -= ~below
         # From the part's last atom on, the levels left over (those that round up
         # to the total) all go to that atom: the clamp of the search.
-        last = n_bins - 1 - np.argmax(mask[:, ::-1], axis=1)
-        after = np.arange(n_bins) >= last[:, None]
+        after = np.arange(n_bins) >= n_bins - 1 - np.argmax(mask[:, ::-1], axis=1)[:, None]
         # A step is confirmed by the level beyond it: e - 1 stays below c, e + 1 does not.
         ok = after | ((levels[e + short] * t < c) ^ short)
         e[after] = m
-        fallback = np.flatnonzero(rows & ~ok.all(axis=1))
-        e[fallback] = m  # any valid counts: the searched samples replace the row
-        for r in fallback:
-            found = _geninv_search(csum[r], centers, cfg.quantiles * total[r])
-            searched.append((r, part, np.minimum(found, centers[last[r]])))
+        suspect |= rows & ~ok.all(axis=1)
+        e[suspect] = m  # any valid counts: the replay overwrites the row
         values[:, part, :-1] = np.where(rows[:, None], centers, 0.0)
         values[:, part, -1] = total
         counts[:, part, 0] = e[:, 0]
         np.subtract(e[:, 1:], e[:, :-1], out=counts[:, part, 1:-1])
     out = np.repeat(values, counts.ravel()).reshape(n_signals, 2 * m + 2)
-    for r, part, found in searched:
-        out.reshape(n_signals, 2, m + 1)[r, part, :m] = found
     for i in np.flatnonzero(suspect):
-        measure_from_density(GridDensity(t0, t1, x[i]))
+        r = scdt_forward(measure_from_density(GridDensity(t0, t1, x[i])), cfg)
+        out[i] = np.concatenate((r.plus.samples, [r.plus.mass], r.minus.samples, [r.minus.mass]))
     return out
 
 

@@ -17,7 +17,6 @@ from scdt.errors import ScdtError
 from scdt.genmodel import GenConfig, generate_dataset
 from scdt.measures import GridDensity, measure_from_density
 from scdt import transform
-from scdt.steps import _geninv_search
 from scdt.transform import TransformConfig, scdt_forward, scdt_forward_batch
 
 
@@ -156,15 +155,15 @@ def signals_on_one_grid(draw):
     return signals
 
 
-def searched_rows(monkeypatch):
-    """The lengths of the rows ``scdt_forward_batch`` hands to its 1-D search."""
+def replayed_rows(monkeypatch):
+    """The sample rows ``scdt_forward_batch`` replays through the per-signal transform."""
     calls = []
 
-    def search(values, breakpoints, y):
-        calls.append(values.size)
-        return _geninv_search(values, breakpoints, y)
+    def replay(d):
+        calls.append(d.samples)
+        return measure_from_density(d)
 
-    monkeypatch.setattr(transform, "_geninv_search", search)
+    monkeypatch.setattr(transform, "measure_from_density", replay)
     return calls
 
 
@@ -197,7 +196,7 @@ class TestTransformKernel:
     @pytest.mark.filterwarnings("error")
     def test_rows_whose_levels_cannot_be_counted_are_searched(self, monkeypatch):
         # Part totals from subnormal to near overflow at M = 2^17 on bins of width 1.
-        # Where M / total overflows the levels are searched, not counted.
+        # Where M / total overflows the levels are not counted: the row is replayed.
         rng = np.random.default_rng(7)
         scales = [5e-324, 1e-320, 1e-310, 1e-305, 1e-300, 1.0, 1e300, 5e306]
         rows = np.array([rng.choice((-1.0, 0.0, 1.0), size=24) * rng.uniform(1, 2, size=24) * a
@@ -206,16 +205,29 @@ class TestTransformKernel:
         assert np.all(np.any(rows > 0, axis=1) & np.any(rows < 0, axis=1))
         signals = [(i, GridDensity(-3.0, 21.0, row)) for i, row in enumerate(rows)]
         cfg = TransformConfig(n_quantiles=2**17)
-        searched = searched_rows(monkeypatch)
+        replayed = replayed_rows(monkeypatch)
         got = featurize(signals, "scdt", cfg).rows
-        assert len(searched) == 7  # both parts of rows 0, 2 and 3; the minus part of row 1
+        # Both parts of rows 0, 2 and 3 and the minus part of row 1 cannot be counted.
+        assert np.array_equal(replayed, rows[:4])
         assert got.tobytes() == per_signal_rows(signals, cfg).tobytes()
 
     def test_benchmark_rows_are_all_counted(self, monkeypatch):
-        searched = searched_rows(monkeypatch)
+        replayed = replayed_rows(monkeypatch)
         features = featurize(generate_dataset(GenConfig()), "scdt", TransformConfig(n_quantiles=1024))
         assert features.rows.shape == (500, 2050)
-        assert searched == []
+        assert replayed == []
+
+    @pytest.mark.filterwarnings("error")
+    def test_valid_row_on_a_colliding_grid_is_the_per_signal_transform(self, monkeypatch):
+        # Centres of bins 2k - 1 and 2k round to one float near 1e16, but no two atoms of
+        # this row share a centre; the grid sends it to the replay, which must succeed.
+        signals = [(0, GridDensity(1e16, 1e16 + 8, [1.0, 0.0, -2.0, 0.0, 3.0, 0.0, 0.0, 0.0]))]
+        cfg = TransformConfig(n_quantiles=16)
+        replayed = replayed_rows(monkeypatch)
+        got = featurize(signals, "scdt", cfg).rows
+        assert len(replayed) == 1
+        assert got.tobytes() == per_signal_rows(signals, cfg).tobytes()
+        assert np.array_equal(np.unique(got[0, :16]), [1e16, 1e16 + 4])
 
     def test_kernel_validates_its_arrays(self):
         cfg = TransformConfig(n_quantiles=4)
@@ -226,7 +238,7 @@ class TestTransformKernel:
             scdt_forward_batch(np.zeros((1, 2)), 1.0, 0.0, cfg)
         assert scdt_forward_batch(np.zeros((0, 3)), 0.0, 1.0, cfg).shape == (0, 10)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "t0, t1, samples",
         [

@@ -291,6 +291,32 @@ class TestConfigErrors:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("command", ["generate", "classify-demo"])
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"n_grid": 16.9}, "n_grid must be an integer, got 16.9"),
+            ({"seed": "7"}, "seed must be an integer, got '7'"),
+            ({"n_quantiles": 16.5}, "n_quantiles must be an integer, got 16.5"),
+            ({"per_class": 2.5}, "per_class must be an integer, got 2.5"),
+            ({"per_class": [2, "2", 2]}, "per_class must be an integer, got '2'"),
+            ({"n_grid": [16]}, "n_grid must be an integer, got [16]"),
+            ({"seed": None}, "seed must be an integer, got None"),
+        ],
+        ids=["n_grid-fraction", "seed-string", "n_quantiles-fraction", "per_class-fraction",
+             "per_class-entry-string", "n_grid-list", "seed-null"],
+    )
+    def test_non_whole_integer_key_exit_2(self, tmp_path, capsys, command, override, message):
+        # int() would run 16.9 as 16 and "7" as 7.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"per_class": [2, 2, 2], "n_grid": 16, "n_quantiles": 16,
+                                   **override}))
+        outputs = (["--outdir", str(tmp_path / "d")] if command == "generate" else
+                   ["--report", str(tmp_path / "r.json"), "--plots", str(tmp_path / "p.csv")])
+        assert main([command, "--config", str(cfg), *outputs]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
 
 class TestClassifyDemo:
     def test_demo_outputs(self, tmp_path, capsys, monkeypatch):

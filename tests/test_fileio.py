@@ -5,6 +5,7 @@ by the CLI module)."""
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -73,6 +74,23 @@ class TestSignalCsv:
         path = tmp_path / "bad.csv"
         path.write_text(content)
         with pytest.raises(ParseError):
+            read_signal_csv(path)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "rows, span",
+        [
+            ("-1.7e308,1\n0,1\n1.7e308,1\n", "[-inf, inf]"),
+            ("1.7e308,1\n1.79e308,1\n", "[1.6549999999999998e+308, inf]"),
+            ("-8.5e307,1\n0,1\n8.5e307,1\n", "[-1.2749999999999999e+308, 1.2749999999999999e+308]"),
+        ],
+        ids=["t-span", "bin-edge", "bin-span"],
+    )
+    def test_span_that_overflows_raises_parse_error(self, tmp_path, rows, span):
+        # Each t is finite, but the span, a half-bin edge or the edges' distance is not.
+        path = tmp_path / "wide.csv"
+        path.write_text("t,value\n" + rows)
+        with pytest.raises(ParseError, match=re.escape(f"span {span}, which overflows float64")):
             read_signal_csv(path)
 
     def test_missing_file(self, tmp_path):
@@ -251,6 +269,15 @@ class TestExperimentConfig:
         assert cfg.transform.n_quantiles == 64
         assert cfg.transform.reference.support == (0.0, 2.0)
         assert cfg.lda_lambda == 1e-4
+
+    def test_whole_floats_are_integers(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n_grid": 16.0, "seed": 7.0, "n_quantiles": 32.0,
+                                    "per_class": [2.0, 3, 4.0]}))
+        cfg = read_experiment_config(path)
+        assert (cfg.gen.n_grid, cfg.gen.seed, cfg.transform.n_quantiles) == (16, 7, 32)
+        assert cfg.gen.per_class == (2, 3, 4)
+        assert all(type(v) is int for v in (cfg.gen.n_grid, cfg.gen.seed, *cfg.gen.per_class))
 
     def test_reference_as_dict(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -325,7 +325,7 @@ class TestMeasureFromDensity:
         back = rebin(measure_from_density(d), d.t0, d.t1, d.n_bins)
         assert np.allclose(back.samples, d.samples, rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "density, cause",
         [
