@@ -61,7 +61,28 @@ Each checkout's ``src`` is imported in its own interpreter, which dumps:
 - ``IncreasingReparam.inverse`` of piecewise-linear warps
   (``reparam/pwl/*``): the 100 warps of the acceptance test's composition
   law at that test's atom locations and knots, and a warp whose first
-  segment rises by 1e-320, checked the same way.
+  segment rises by 1e-320, checked the same way;
+- the step-function objects (``steps/*``): ``geninv`` and double
+  ``geninv`` of random step functions with +-inf values, plateaus (equal
+  thresholds) and a value at +inf above the last; ``compose`` of such
+  functions with strictly increasing, flat-left, flat-right and flat-both
+  maps whose knot ordinates are among the breakpoints; ``cdf`` of measures
+  with atoms at +-inf and of ``pushforward([0, 0, inf], 0.10794165049342948)``,
+  whose weights sum one ulp above its stored mass.  A step function is
+  recorded as (breakpoints, values, value at +inf);
+- the evaluators ``StepFunction.eval`` and ``geninv_eval``,
+  ``PiecewiseLinearMap.__call__`` and ``preimage``,
+  ``IncreasingReparam.forward`` and ``inverse`` (dilation, affine and
+  piecewise-linear) and ``ReferenceMeasure.cdf_eval`` and ``quantile``
+  (``steps/eval/<evaluator>/<form>``) at probes including +-inf, +-1e308,
+  +-5e-324 and -0.0, passed one Python float at a time (each result
+  recorded with its type name), as 0-d arrays, as a list and as a 2-D
+  array;
+- a grid whose span ``t1 - t0`` overflows float64 (``grid/span-overflow/*``):
+  ``GridDensity``, ``rebin``, ``scdt inverse --grid=-1e308,1e308,4`` (exit
+  code, message and written ``t`` column) and ``scdt generate`` with that
+  ``t0, t1``, and a ``DiscreteMeasure`` whose total mass overflows
+  (``measure/total-overflow``), each with warnings raised as errors.
 
 Arrays are compared by their bytes, so -0.0 against 0.0 counts as a
 difference; for a differing key of float arrays the largest
@@ -76,6 +97,9 @@ differs.
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import math
 import os
 import pickle
@@ -202,6 +226,152 @@ def _acceptance_warps(rng):
         yield xs, ys, locs
 
 
+def _step(f):
+    return f.breakpoints, f.values, f.value_at_pos_inf
+
+
+def _random_step(scdt, rng):
+    """A step function with up to 6 breakpoints, repeated values (plateaus),
+    leading -inf and trailing +inf values, and a value at +inf that is the
+    last value, one above it or +inf."""
+    breakpoints = np.unique(rng.normal(size=int(rng.integers(0, 7)))
+                            * 10.0 ** int(rng.integers(-3, 4)))
+    values = np.cumsum(rng.choice((0.0, 0.5, 1.0), size=breakpoints.size + 1)) - 1.0
+    n_neg, n_pos = (int(n) for n in rng.integers(0, 3, size=2))
+    values[:n_neg] = -np.inf
+    if n_pos:
+        values[-n_pos:] = np.inf
+    top = (None, values[-1] + 1.0, np.inf)[int(rng.integers(0, 3))]
+    return scdt.StepFunction(breakpoints, values, top)
+
+
+def _random_map(scdt, rng, flat):
+    """A piecewise-linear map on 2-5 knots whose first and/or last segment is
+    flat (``flat`` in "", "left", "right", "both")."""
+    n = int(rng.integers(2, 6))
+    xs = np.cumsum(rng.uniform(0.2, 2.0, n)) - 3.0
+    rises = rng.uniform(0.2, 2.0, n - 1)
+    if flat in ("left", "both"):
+        rises[0] = 0.0
+    if flat in ("right", "both"):
+        rises[-1] = 0.0
+    return scdt.PiecewiseLinearMap(xs, np.concatenate(([0.0], np.cumsum(rises))) - 1.0)
+
+
+def _evaluations(fn, probes):
+    """``fn`` on each probe as a Python float (result with its type name), on
+    the probes as 0-d arrays, as a list and as a 2-D array."""
+    def scalar(p):
+        r = fn(p)
+        return type(r).__name__, r
+    return {
+        "scalar": [_try(lambda: scalar(float(p))) for p in probes],
+        "0-d": [_try(lambda: scalar(np.asarray(p))) for p in probes],
+        "list": _try(lambda: fn(probes.tolist())),
+        "2-D": _try(lambda: fn(probes.reshape(2, -1))),
+    }
+
+
+def _steps_outputs(scdt):
+    """The ``steps/*`` keys of the module docstring."""
+    out = {}
+    rng = np.random.default_rng(21)
+    for k in range(60):
+        f = _random_step(scdt, rng)
+        out[f"steps/geninv/{k}"] = _try(lambda: (_step(f.geninv()), _step(f.geninv().geninv())))
+    for k in range(60):
+        flat = ("", "left", "right", "both")[k % 4]
+        g = _random_map(scdt, rng, flat)
+        f = _random_step(scdt, rng)
+        # Breakpoints on g's knot ordinates give equal preimages and exact knot hits.
+        bp = np.unique(np.concatenate((f.breakpoints, g.ys[rng.random(g.ys.size) < 0.5])))
+        values = np.sort(rng.choice((-np.inf, 0.0, 0.5, 1.0, np.inf), size=bp.size + 1))
+        f = scdt.StepFunction(bp, values)
+        out[f"steps/compose/{flat or 'increasing'}/{k}"] = _try(lambda: _step(scdt.compose(f, g)))
+    for k in range(40):
+        locs = np.sort(rng.normal(size=int(rng.integers(0, 6))))
+        ends = [(), (-np.inf,), (np.inf,), (-np.inf, np.inf)][k % 4]
+        locs = np.unique(np.concatenate((locs, ends)))
+        w = rng.exponential(size=locs.size) * 10.0 ** rng.integers(-300, 300)
+        out[f"steps/cdf/{k}"] = _try(lambda: _step(scdt.cdf(scdt.DiscreteMeasure(locs, w))))
+    for k in range(20):
+        samples = np.sort(rng.choice((-np.inf, 0.0, 1.0, 2.0, np.inf), size=int(rng.integers(1, 9))))
+        mass = float(rng.uniform(0.01, 10.0))
+        out[f"steps/cdf/pushforward/{k}"] = _try(
+            lambda: _step(scdt.cdf(scdt.pushforward(samples, mass))))
+    out["steps/cdf/pushforward/ulp"] = _step(
+        scdt.cdf(scdt.pushforward(np.array([0.0, 0.0, np.inf]), 0.10794165049342948)))
+
+    probes = np.array([-np.inf, -1e308, -2.5, -1.0, -5e-324, -0.0, 0.0, 5e-324,
+                       0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 1e308, np.inf])
+    f = scdt.StepFunction(np.array([-1.0, 0.0, 1.0, 2.0]),
+                          np.array([-np.inf, 0.0, 0.5, 0.5, np.inf]), np.inf)
+    pwl = ([-1.0, 0.0, 2.0], [-1.0, 0.5, 1.5])
+    ref = scdt.ReferenceMeasure(np.array([-1.0, 0.5, 2.0]), np.array([0.0, 0.3, 2.5]))
+    evaluators = {
+        "StepFunction.eval": f.eval,
+        "StepFunction.geninv_eval": f.geninv_eval,
+        "PiecewiseLinearMap.__call__": scdt.PiecewiseLinearMap(*pwl),
+        "PiecewiseLinearMap.__call__/flat": _random_map(scdt, np.random.default_rng(1), "both"),
+        "PiecewiseLinearMap.preimage": scdt.PiecewiseLinearMap(*pwl).preimage,
+        "PiecewiseLinearMap.preimage/flat": _random_map(
+            scdt, np.random.default_rng(1), "both").preimage,
+        "ReferenceMeasure.cdf_eval": ref.cdf_eval,
+        "ReferenceMeasure.quantile": ref.quantile,
+    }
+    for kind, g in (("dilation", scdt.IncreasingReparam.dilation(0.5)),
+                    ("affine", scdt.IncreasingReparam.affine(2.0, -0.5)),
+                    ("pwl", scdt.IncreasingReparam.piecewise_linear(*pwl))):
+        evaluators[f"IncreasingReparam.forward/{kind}"] = g.forward
+        evaluators[f"IncreasingReparam.inverse/{kind}"] = g.inverse
+    for name, fn in evaluators.items():
+        for form, r in _evaluations(fn, probes).items():
+            out[f"steps/eval/{name}/{form}"] = r
+    return out
+
+
+def _span_overflow_outputs(scdt, tmp):
+    """The ``grid/span-overflow/*`` and ``measure/total-overflow`` keys."""
+    from scdt.cli import main as cli_main
+
+    out = {}
+    one = scdt.SignedMeasure(scdt.DiscreteMeasure(np.array([0.0]), np.array([1.0])),
+                             scdt.DiscreteMeasure.zero())
+    out["grid/span-overflow/density"] = _checked(
+        lambda: _density(scdt.GridDensity(-1e308, 1e308, np.array([1.0, 2.0]))))
+    out["grid/span-overflow/rebin"] = _checked(lambda: scdt.rebin(one, -1e308, 1e308, 4).samples)
+
+    def cli(argv):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli_main(argv)
+        return code, err.getvalue().replace(tmp, "")
+
+    def inverse():
+        tj, csv = os.path.join(tmp, "t.json"), os.path.join(tmp, "span.csv")
+        scdt.fileio.write_transform_json(
+            tj, scdt.scdt_forward(one, scdt.TransformConfig(n_quantiles=8)),
+            scdt.TransformConfig(n_quantiles=8))
+        code, err = cli(["inverse", "--input", tj, "--output", csv, "--grid=-1e308,1e308,4"])
+        t = None
+        if os.path.exists(csv):
+            with open(csv, encoding="utf-8") as fh:
+                t = [line.split(",")[0] for line in fh.read().splitlines()]
+        return code, err, t
+
+    def generate():
+        cfg = os.path.join(tmp, "span.json")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            json.dump({"t0": -1e308, "t1": 1e308, "per_class": 1, "n_grid": 4}, fh)
+        return cli(["generate", "--config", cfg, "--outdir", os.path.join(tmp, "span")])
+
+    out["grid/span-overflow/cli-inverse"] = _checked(inverse)
+    out["grid/span-overflow/cli-generate"] = _checked(generate)
+    out["measure/total-overflow"] = _checked(lambda: scdt.DiscreteMeasure(
+        np.array([0.0, 1.0]), np.array([1e308, 1e308])).total_mass)
+    return out
+
+
 def _blobs(scdt, n_per_class, n_constant):
     """Training features of three 2-D blobs plus three noise features and
     ``n_constant`` features that hold 7.0, and the same rows moved by 0.5 to
@@ -265,6 +435,7 @@ def dump():
             # The message names the file; its temporary directory is left out.
             out[f"csv/overflow/{name}"] = (r[:2] + (r[2].replace(tmp, ""),) + r[3:]
                                            if _raised(r) else r)
+        out.update(_span_overflow_outputs(scdt, tmp))
     edge_configs = {
         "off_grid": dict(a_range=(0.1, 0.1)),
         "collapsing": dict(t0=-3.0, a_range=(1e15, 1e15), b_range=(1e15, 1e15), per_class=1),
@@ -385,6 +556,8 @@ def dump():
             raise ArithmeticError("the inverse of a finite value is not finite")
         return x
     out["reparam/pwl/subnormal"] = _checked(subnormal_warp)
+
+    out.update(_steps_outputs(scdt))
 
     fits = {"n-above-p": _blobs(scdt, 50, 0), "low-rank-rows": _blobs(scdt, 20, 200)}
     signals = scdt.generate_dataset(scdt.GenConfig(seed=0))

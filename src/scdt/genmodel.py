@@ -23,7 +23,7 @@ from .measures import (
     measure_from_density,
     rebin,
 )
-from .steps import ArrayLike, PiecewiseLinearMap
+from .steps import ArrayLike, PiecewiseLinearMap, _like
 from .transform import CdtResult, ScdtResult, TransformConfig, scdt_forward
 
 __all__ = [
@@ -91,22 +91,16 @@ class IncreasingReparam:
         return cls("piecewise_linear", pwl=PiecewiseLinearMap(xs, ys))
 
     def forward(self, x: ArrayLike) -> Union[float, np.ndarray]:
-        if self.kind == "dilation":
-            return np.asarray(x, dtype=float) / self.a if np.ndim(x) else float(x) / self.a
-        if self.kind == "affine":
-            xa = np.asarray(x, dtype=float)
-            out = self.a * xa + self.b
-            return out if np.ndim(x) else float(out)
-        return self.pwl(x)
+        if self.kind == "piecewise_linear":
+            return self.pwl(x)
+        xa = np.asarray(x, dtype=float)
+        return _like(x, xa / self.a if self.kind == "dilation" else self.a * xa + self.b)
 
     def inverse(self, y: ArrayLike) -> Union[float, np.ndarray]:
-        if self.kind == "dilation":
-            return self.a * np.asarray(y, dtype=float) if np.ndim(y) else self.a * float(y)
-        if self.kind == "affine":
-            ya = np.asarray(y, dtype=float)
-            out = (ya - self.b) / self.a
-            return out if np.ndim(y) else float(out)
-        return self.pwl.preimage(y)
+        if self.kind == "piecewise_linear":
+            return self.pwl.preimage(y)
+        ya = np.asarray(y, dtype=float)
+        return _like(y, self.a * ya if self.kind == "dilation" else (ya - self.b) / self.a)
 
     __call__ = forward
 

@@ -14,7 +14,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .errors import InvalidReferenceError, RangeError, SingularityError
-from .steps import POS_INF, ArrayLike, PiecewiseLinearMap, StepFunction, _geninv_search
+from .steps import ArrayLike, PiecewiseLinearMap, StepFunction, _geninv_search, _steps
 
 __all__ = [
     "DiscreteMeasure",
@@ -57,6 +57,8 @@ class DiscreteMeasure:
         if np.any(w <= 0) or np.any(~np.isfinite(w)):
             raise ValueError("atom weights must be finite and positive")
         total = _checked_total(self.total_mass, w)
+        if not np.isfinite(total):
+            raise RangeError("the total mass of the atoms overflows float64")
         locs.setflags(write=False)
         w.setflags(write=False)
         self.__dict__.update(locations=locs, weights=w, total_mass=total)
@@ -149,6 +151,7 @@ class GridDensity:
         t0, t1 = float(self.t0), float(self.t1)
         if not (np.isfinite(t0) and np.isfinite(t1) and t0 < t1):
             raise ValueError("need finite t0 < t1")
+        _check_span(t0, t1)
         samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 1 or samples.size < 1:
             raise ValueError("samples must be a 1-D array with at least one bin")
@@ -232,24 +235,11 @@ def cdf(m: DiscreteMeasure) -> StepFunction:
     """The right-continuous CDF ``F(x) = m([-inf, x])`` as a step function.
 
     An atom at ``-inf`` lifts the head value; an atom at ``+inf`` appears only
-    in the value at the point ``+inf``, so ``F(+inf)`` always equals the total
-    mass.
+    in the value at the point ``+inf``, so ``F(+inf)`` is the stored total
+    mass (the value after the last finite atom where the stored mass rounds
+    below the summed weights).
     """
-    locs, w = m.locations, m.weights
-    csum = np.concatenate(([0.0], np.cumsum(w)))
-    finite = np.isfinite(locs)
-    breakpoints = locs[finite]
-    # Value right of finite atom i is the cumulative sum through i; the head
-    # value is the cumulative sum before the first finite atom (i.e. the
-    # weight of a -inf atom, if any).
-    idx = np.flatnonzero(finite)
-    head_count = idx[0] if idx.size else locs.size - int(locs.size and locs[-1] == POS_INF)
-    values = np.concatenate(([csum[head_count]], csum[idx + 1]))
-    return StepFunction(
-        breakpoints,
-        values,
-        value_at_pos_inf=max(m.total_mass, float(values[-1])),
-    )
+    return _steps(m.locations, np.cumsum(m.weights), 0.0, m.total_mass)
 
 
 def measure_from_density(d: GridDensity) -> SignedMeasure:
@@ -311,15 +301,22 @@ def pushforward(samples: ArrayLike, mass: float) -> DiscreteMeasure:
 
 
 def _checked_total(total_mass: Optional[float], w: np.ndarray) -> float:
-    """The cumulative sum of ``w``, or ``total_mass`` once checked against their sum."""
-    if total_mass is None:
-        return float(np.cumsum(w)[-1]) if w.size else 0.0
-    # Pairwise summation errs by about log(n) * eps; a cumulative sum
-    # by up to n * eps, beyond MASS_RTOL for 1e5 equal weights.
-    total, computed = float(total_mass), float(np.sum(w))
+    """The cumulative sum of ``w`` (inf where it overflows, with no warning), or
+    ``total_mass`` once checked against their sum."""
+    with np.errstate(over="ignore"):
+        if total_mass is None:
+            return float(np.cumsum(w)[-1]) if w.size else 0.0
+        # Pairwise summation errs by about log(n) * eps; a cumulative sum
+        # by up to n * eps, beyond MASS_RTOL for 1e5 equal weights.
+        total, computed = float(total_mass), float(np.sum(w))
     if abs(total - computed) > MASS_RTOL * max(abs(total), abs(computed), 1.0):
         raise ValueError(f"total_mass {total} does not match the sum of weights {computed}")
     return total
+
+
+def _check_span(t0: float, t1: float) -> None:
+    if t1 - t0 == np.inf:  # t0 < t1 are finite
+        raise ValueError(f"the grid span t1 - t0 of [{t0}, {t1}] overflows float64")
 
 
 def _support_gap(a: np.ndarray, b: np.ndarray) -> float:
@@ -351,6 +348,7 @@ def rebin(m: SignedMeasure, t0: float, t1: float, n_bins: int) -> GridDensity:
     n_bins = int(n_bins)
     if not (np.isfinite(t0) and np.isfinite(t1) and t0 < t1 and n_bins >= 1):
         raise ValueError("need finite t0 < t1 and n_bins >= 1")
+    _check_span(t0, t1)
     width = (t1 - t0) / n_bins
 
     def deposit(part: DiscreteMeasure) -> np.ndarray:

@@ -37,6 +37,11 @@ def _as_float_array(x: ArrayLike, name: str) -> np.ndarray:
     return arr
 
 
+def _like(x: ArrayLike, out: np.ndarray) -> Union[float, np.ndarray]:
+    """``out`` as a float where the argument ``x`` is a scalar, else ``out`` itself."""
+    return float(out) if np.ndim(x) == 0 else out
+
+
 def _geninv_search(values: np.ndarray, breakpoints: np.ndarray, y: ArrayLike) -> np.ndarray:
     """``inf{x : F(x) > y}`` for the non-decreasing step function taking
     ``values[0]`` left of ``breakpoints[0]`` and ``values[i]`` from
@@ -110,10 +115,7 @@ class StepFunction:
         xa = _as_float_array(x, "x")
         idx = np.searchsorted(self.breakpoints, xa, side="right")
         out = self.values[idx]
-        out = np.where(xa == POS_INF, self.value_at_pos_inf, out)
-        if np.ndim(x) == 0:
-            return float(out)
-        return out
+        return _like(x, np.where(xa == POS_INF, self.value_at_pos_inf, out))
 
     __call__ = eval
 
@@ -123,10 +125,7 @@ class StepFunction:
         Returns ``+inf`` when the superlevel set is empty (``inf of the empty
         set``) and ``-inf`` when it is the whole line.
         """
-        out = _geninv_search(self.values, self.breakpoints, _as_float_array(y, "y"))
-        if np.ndim(y) == 0:
-            return float(out)
-        return out
+        return _like(y, _geninv_search(self.values, self.breakpoints, _as_float_array(y, "y")))
 
     def geninv(self) -> "StepFunction":
         """Closed-form step representation of the monotone generalized inverse.
@@ -134,27 +133,8 @@ class StepFunction:
         Agrees pointwise with :meth:`geninv_eval` everywhere, and always takes
         the value ``+inf`` at the point ``+inf``.
         """
-        thresholds = self.values
-        targets = np.concatenate((self.breakpoints, [POS_INF]))
-        # A +inf value is only exceeded beyond every finite y: its region is
-        # empty on the real line.
-        keep = thresholds < POS_INF
-        thresholds, targets = thresholds[keep], targets[keep]
-        head = NEG_INF
-        neg = thresholds == NEG_INF
-        if np.any(neg):
-            head = targets[neg][-1]
-            thresholds, targets = thresholds[~neg], targets[~neg]
-        if thresholds.size > 1:
-            # Equal consecutive thresholds delimit empty regions; the last
-            # target wins.
-            last = np.r_[thresholds[1:] > thresholds[:-1], True]
-            thresholds, targets = thresholds[last], targets[last]
-        return StepFunction(
-            thresholds,
-            np.concatenate(([head], targets)),
-            value_at_pos_inf=POS_INF,
-        )
+        # From y = values[i] on, F first exceeds y at breakpoint i (+inf after the last).
+        return _steps(self.values, np.append(self.breakpoints, POS_INF), NEG_INF, POS_INF)
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,9 +191,7 @@ class PiecewiseLinearMap:
         out = _along(self.ys[i], self.xs[i], finite, s)
         out = np.where(xa == POS_INF, POS_INF if self.slopes[-1] > 0 else self.ys[-1], out)
         out = np.where(xa == NEG_INF, NEG_INF if self.slopes[0] > 0 else self.ys[0], out)
-        if np.ndim(x) == 0:
-            return float(out)
-        return out
+        return _like(x, out)
 
     def preimage(self, y: ArrayLike) -> Union[float, np.ndarray]:
         """``inf{x : f(x) >= y}``, the generalized inverse of the map.
@@ -224,8 +202,6 @@ class PiecewiseLinearMap:
         ``-inf`` when every ``x`` qualifies and ``+inf`` when none does.
         """
         ya = _as_float_array(y, "y")
-        scalar = np.ndim(y) == 0
-        ya = np.atleast_1d(ya)
         n = self.xs.size
         j = np.searchsorted(self.ys, ya, side="left")
         out = np.empty(ya.shape, dtype=float)
@@ -247,16 +223,9 @@ class PiecewiseLinearMap:
                 out[hi] = POS_INF
         if np.any(mid):
             jm = j[mid]
-            seg = jm - 1
-            out[mid] = _along(self.xs[seg], self.ys[seg], ya[mid], self.slopes[seg], divide=True)
-            hit = ya[mid] == self.ys[jm]
-            if np.any(hit):
-                vals = out[mid]
-                vals[hit] = self.xs[jm[hit]]
-                out[mid] = vals
-        if scalar:
-            return float(out[0])
-        return out
+            out[mid] = np.where(ya[mid] == self.ys[jm], self.xs[jm], _along(
+                self.xs[jm - 1], self.ys[jm - 1], ya[mid], self.slopes[jm - 1], divide=True))
+        return _like(y, out)
 
 
 def _along(origin, start, t, slope, divide=False):
@@ -275,6 +244,27 @@ def _along(origin, start, t, slope, divide=False):
     return out
 
 
+def _steps(points, after, head, value_at_pos_inf) -> StepFunction:
+    """The step function taking ``head`` left of every point and ``after[i]``
+    from ``points[i]`` on, for non-decreasing ``points`` on the extended line.
+
+    Points at ``-inf`` fold into the head value, points at ``+inf`` start an
+    empty region and drop, and of equal points the last wins.  The value at
+    the point ``+inf`` is ``value_at_pos_inf``, or the final value where that
+    rounds below it.
+    """
+    neg = points == NEG_INF
+    if np.any(neg):
+        head = after[neg][-1]
+    keep = np.isfinite(points)
+    points, after = points[keep], after[keep]
+    if points.size > 1:
+        last = np.r_[points[1:] > points[:-1], True]
+        points, after = points[last], after[last]
+    values = np.concatenate(([head], after))
+    return StepFunction(points, values, max(value_at_pos_inf, float(values[-1])))
+
+
 def compose(f: StepFunction, g: PiecewiseLinearMap) -> StepFunction:
     """Step representation of ``x -> f(g(x))`` for non-decreasing ``g``.
 
@@ -284,20 +274,4 @@ def compose(f: StepFunction, g: PiecewiseLinearMap) -> StepFunction:
     """
     if not isinstance(g, PiecewiseLinearMap):
         raise TypeError("g must be a PiecewiseLinearMap")
-    h = np.atleast_1d(np.asarray(g.preimage(f.breakpoints), dtype=float))
-    upper = f.values[1:]
-    head = f.values[0]
-    neg = h == NEG_INF
-    if np.any(neg):
-        head = upper[neg][-1]
-    keep = np.isfinite(h)
-    h, upper = h[keep], upper[keep]
-    if h.size > 1:
-        last = np.r_[h[1:] > h[:-1], True]
-        h, upper = h[last], upper[last]
-    vapi = f.eval(g(POS_INF))
-    return StepFunction(
-        h,
-        np.concatenate(([head], upper)),
-        value_at_pos_inf=vapi,
-    )
+    return _steps(g.preimage(f.breakpoints), f.values[1:], f.values[0], f.eval(g(POS_INF)))

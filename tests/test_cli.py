@@ -90,6 +90,17 @@ class TestTransformInverse:
         assert main(["inverse", "--input", tj, "--output", str(tmp_path / "o.csv"),
                      "--grid", "10,11,4"]) == 4
 
+    def test_overflowing_grid_span_exit_2(self, tmp_path, capsys, signal_csv):
+        src = signal_csv("in.csv", self.SAMPLES)
+        tj = str(tmp_path / "t.json")
+        main(["transform", "--input", src, "--output", tj])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["inverse", "--input", tj, "--output", str(tmp_path / "o.csv"),
+                         "--grid=-1e308,1e308,4"]) == 2
+        assert "span t1 - t0 of [-1e+308, 1e+308] overflows" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_colliding_parts_exit_4(self, tmp_path):
         cfg = TransformConfig(n_quantiles=4)
         collided = ScdtResult(
@@ -231,6 +242,13 @@ class TestGenerate:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
         assert main(["generate", "--config", str(path), "--outdir", str(tmp_path / "d")]) == 4
+
+    def test_overflowing_grid_span_exit_2(self, tmp_path, capsys):
+        cfg = self.config(tmp_path, t0=-1e308, t1=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["generate", "--config", cfg, "--outdir", str(tmp_path / "d")]) == 2
+        assert "span t1 - t0 of [-1e+308, 1e+308] overflows" in capsys.readouterr().err
 
     def test_bad_seed_env_exit_2(self, tmp_path, monkeypatch):
         cfg = self.config(tmp_path)

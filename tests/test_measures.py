@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import discrete_measures, reference_measures, signed_measures
@@ -25,6 +25,7 @@ from scdt.measures import (
     rebin,
 )
 from scdt.steps import NEG_INF, POS_INF
+from scdt.transform import TransformConfig, scdt_forward_batch
 
 
 class TestDiscreteMeasure:
@@ -50,6 +51,12 @@ class TestDiscreteMeasure:
         DiscreteMeasure(np.array([0.0]), np.array([2.0]), total_mass=2.0)
         with pytest.raises(ValueError):
             DiscreteMeasure(np.array([0.0]), np.array([2.0]), total_mass=3.0)
+
+    def test_overflowing_total_raises_range_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeError, match="total mass of the atoms overflows"):
+                DiscreteMeasure(np.array([0.0, 1.0]), np.array([1e308, 1e308]))
 
     def test_infinite_locations_allowed(self):
         m = DiscreteMeasure(np.array([NEG_INF, 0.0, POS_INF]), np.array([1.0, 2.0, 3.0]))
@@ -143,6 +150,8 @@ class TestCdf:
             )
 
     @given(discrete_measures(max_atoms=10))
+    # The weights sum to one ulp above the stored mass 0.10794165049342948.
+    @example(pushforward(np.array([0.0, 0.0, POS_INF]), 0.10794165049342948))
     def test_value_at_pos_inf_is_total_mass(self, m):
         assert cdf(m)(POS_INF) == m.total_mass
 
@@ -190,6 +199,19 @@ class TestGridDensity:
             GridDensity(0.0, 1.0, np.array([]))
         with pytest.raises(ValueError):
             GridDensity(0.0, 1.0, np.array([POS_INF]))
+
+    @pytest.mark.parametrize("build", [
+        lambda: GridDensity(-1e308, 1e308, np.array([1.0, 2.0])),
+        lambda: rebin(SignedMeasure(DiscreteMeasure(np.array([0.0]), np.array([1.0])),
+                                    DiscreteMeasure.zero()), -1e308, 1e308, 4),
+        lambda: scdt_forward_batch(np.array([[1.0, 0.0]]), -1e308, 1e308, TransformConfig()),
+    ], ids=["density", "rebin", "batch"])
+    def test_overflowing_span_refused(self, build):
+        # Finite t0 < t1 whose span is inf would give bins of infinite width.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"span t1 - t0 of \[-1e\+308, 1e\+308\]"):
+                build()
 
     def test_bin_geometry(self):
         d = GridDensity(0.0, 2.0, np.array([1.0, -1.0]))

@@ -438,3 +438,33 @@ class TestCompose:
             xs += list(mids[gaps > 1e-6])
         for x in xs:
             assert c(float(x)) == f(g(float(x)))
+
+
+def _evaluators():
+    from scdt.genmodel import IncreasingReparam
+
+    f = StepFunction(np.array([0.0, 1.0]), np.array([NEG_INF, 0.5, POS_INF]))
+    g = PiecewiseLinearMap(np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.0, 1.0]))
+    out = {"eval": f.eval, "geninv_eval": f.geninv_eval, "map": g, "preimage": g.preimage}
+    for kind, r in (("dilation", IncreasingReparam.dilation(2.0)),
+                    ("affine", IncreasingReparam.affine(2.0, 1.0)),
+                    ("pwl", IncreasingReparam.piecewise_linear([0.0, 1.0], [0.0, 2.0]))):
+        out[f"forward/{kind}"], out[f"inverse/{kind}"] = r.forward, r.inverse
+    return out
+
+
+class TestScalarRule:
+    """Every evaluator returns a Python float for a scalar argument (a 0-d
+    array included) and an array of the argument's shape otherwise."""
+
+    @pytest.mark.parametrize("name", sorted(_evaluators()))
+    def test_scalar_in_float_out(self, name):
+        fn = _evaluators()[name]
+        probes = np.array([NEG_INF, -1.0, -0.0, 0.5, 1.0, 1e300, POS_INF, 2.0])
+        for p in probes:
+            for x in (float(p), np.asarray(p)):
+                assert type(fn(x)) is float
+        for x in (probes.tolist(), probes.reshape(2, 4)):
+            out = fn(x)
+            assert isinstance(out, np.ndarray) and out.shape == np.shape(x)
+            assert np.array_equal(out.ravel(), [fn(float(p)) for p in probes])
