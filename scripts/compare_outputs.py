@@ -29,7 +29,18 @@ Each checkout's ``src`` is imported in its own interpreter, which dumps:
   ``d_s`` values and components and ``transform_l2`` on 4e5-bin signed and
   nonnegative densities at M = 2^17;
 - ``measure_quantiles`` on measures with atoms at +-inf, at the levels
-  0, 1, nextafter(1, 0), 5e-324 and random levels;
+  0, -0.0, -0.5, 1, 1.5, nextafter(1, 0), 5e-324, +-inf, NaN and random
+  levels, and on both parts of small densities through
+  ``measure_from_density`` (``quantiles/density/*``), searched twice: the
+  first search takes the running sum the conversion leaves on the part;
+- the smallest support gap and shared atoms of random parts with +-inf
+  atoms, near-collisions and exact collisions (``support_gap/*``), with the
+  parts both ways round: ``SignedMeasure`` (built, or how it raised), the
+  private ``_support_gap`` value and ``scdt_inverse`` of a transform with
+  those atoms (the parts' locations or the error, and the warning text);
+- ``rebin`` of signed measures whose multi-atom part lies off the grid or
+  at +-inf at its first or last atom, in either part (``rebin/*``), with
+  warnings raised as errors;
 - ``w2``, ``d_w2``, ``d_s`` and ``transform_l2`` (under unit-mass and
   mass-2 references) with zero parts;
 - ``d_s``, ``d_w2``, ``w2`` and ``transform_l2`` at extreme scales
@@ -372,6 +383,57 @@ def _span_overflow_outputs(scdt, tmp):
     return out
 
 
+def _support_gap_outputs(scdt):
+    """The ``support_gap/*`` keys of the module docstring."""
+    from scdt.measures import _support_gap
+
+    out = {}
+    rng = np.random.default_rng(17)
+    ends = [(), (-np.inf,), (np.inf,), (-np.inf, np.inf)]
+    for k in range(48):
+        # Half-integer atoms collide now and then, and so do infinite ones; a shift
+        # of 1e-10 makes finite near-collisions, one of 0.25 keeps them apart.
+        locs = [np.unique(np.concatenate((rng.integers(-12, 12, size=int(n)) * 0.5,
+                                          ends[int(rng.integers(0, 4))])))
+                for n in rng.integers(1, 20, size=2)]
+        locs[1] = locs[1] + (0.0, 1e-10, 0.25)[k % 3]
+        parts = [scdt.DiscreteMeasure(x, rng.uniform(0.5, 2.0, size=x.size)) for x in locs]
+        n_q = 64
+        samples = [np.sort(rng.choice(x, size=n_q)) for x in locs]
+        for order, (a, b) in (("plus-minus", (0, 1)), ("minus-plus", (1, 0))):
+            key = f"support_gap/{k}/{order}"
+            out[key + "/signed"] = _try(lambda: (scdt.SignedMeasure(parts[a], parts[b]), "built")[1])
+            out[key + "/gap"] = _try(lambda: _support_gap(locs[a], locs[b]))
+
+            def inverse():
+                t = scdt.ScdtResult(scdt.CdtResult(samples[a], 1.0), scdt.CdtResult(samples[b], 2.0))
+                back = scdt.scdt_inverse(t, scdt.TransformConfig(n_quantiles=n_q))
+                return back.positive_part.locations, back.negative_part.locations
+            out[key + "/inverse"] = _with_warnings(inverse)
+    return out
+
+
+def _rebin_outputs(scdt):
+    """The ``rebin/*`` keys of the module docstring: the grid is [0, 4] in 8 bins."""
+    inside = np.array([0.5, 1.5, 2.5])
+    bad = {
+        "below-first": [-1.0, 0.5, 1.0], "above-last": [0.5, 1.0, 5.0],
+        "neg-inf-first": [-np.inf, 0.5, 1.0], "pos-inf-last": [0.5, 1.0, np.inf],
+        "below-and-pos-inf": [-1.0, 0.5, np.inf], "neg-inf-and-above": [-np.inf, 0.5, 5.0],
+        "edges": [0.0, 2.0, 4.0],
+    }
+    out = {}
+    for name, locs in bad.items():
+        part = scdt.DiscreteMeasure(np.array(locs), np.ones(3))
+        other = scdt.DiscreteMeasure(inside + 0.125, np.full(3, 2.0))
+        for side, (plus, minus) in (("positive", (part, other)), ("negative", (other, part)),
+                                    ("both", (part, scdt.DiscreteMeasure(
+                                        np.array(locs) + 0.0625, np.ones(3))))):
+            out[f"rebin/{name}/{side}"] = _checked(
+                lambda: scdt.rebin(scdt.SignedMeasure(plus, minus), 0.0, 4.0, 8).samples)
+    return out
+
+
 def _blobs(scdt, n_per_class, n_constant):
     """Training features of three 2-D blobs plus three noise features and
     ``n_constant`` features that hold 7.0, and the same rows moved by 0.5 to
@@ -462,7 +524,8 @@ def dump():
         out[f"large/transform_l2/{i}"] = scdt.transform_l2(transforms[i], transforms[i + 1], cfg)
 
     rng = np.random.default_rng(0)
-    levels = np.concatenate(([0.0, 1.0, np.nextafter(1.0, 0.0), 5e-324], rng.random(60)))
+    levels = np.concatenate(([0.0, 1.0, np.nextafter(1.0, 0.0), 5e-324], rng.random(60),
+                             [-0.0, -0.5, 1.5, -np.inf, np.inf, np.nan]))
     for k in range(40):
         n = int(rng.integers(1, 8))
         locs = np.sort(rng.normal(size=n))
@@ -471,6 +534,15 @@ def dump():
         w = rng.exponential(size=locs.size) * 10.0 ** rng.integers(-300, 300)
         m = scdt.DiscreteMeasure(locs, w)
         out[f"quantiles/{k}"] = scdt.measure_quantiles(m, levels)
+    for k in range(12):
+        d = scdt.GridDensity(-1.0, 2.0, rng.choice((-1.0, 0.0, 1.0), size=int(rng.integers(1, 40)))
+                             * rng.exponential(size=1) * 10.0 ** rng.integers(-300, 300))
+        s = scdt.measure_from_density(d)
+        for name, part in (("positive", s.positive_part), ("negative", s.negative_part)):
+            out[f"quantiles/density/{k}/{name}"] = [
+                _try(lambda: scdt.measure_quantiles(part, levels)) for _ in range(2)]
+    out.update(_support_gap_outputs(scdt))
+    out.update(_rebin_outputs(scdt))
 
     zero = scdt.DiscreteMeasure.zero()
     parts = [scdt.DiscreteMeasure(np.sort(rng.normal(size=n)), rng.random(n) + 0.1)

@@ -57,8 +57,6 @@ class DiscreteMeasure:
         if np.any(w <= 0) or np.any(~np.isfinite(w)):
             raise ValueError("atom weights must be finite and positive")
         total = _checked_total(self.total_mass, w)
-        if not np.isfinite(total):
-            raise RangeError("the total mass of the atoms overflows float64")
         locs.setflags(write=False)
         w.setflags(write=False)
         self.__dict__.update(locations=locs, weights=w, total_mass=total)
@@ -73,8 +71,8 @@ class DiscreteMeasure:
         return m
 
     def __getstate__(self) -> dict:
-        # The transform memo of cdt_positive is not a field; pickles leave it out.
-        return {k: v for k, v in self.__dict__.items() if k != "_memo"}
+        # Neither cdt_positive's memo nor measure_from_density's running sum is a field.
+        return {k: v for k, v in self.__dict__.items() if k not in ("_memo", "_csum")}
 
     @classmethod
     def from_atoms(cls, locations: ArrayLike, weights: ArrayLike) -> "DiscreteMeasure":
@@ -107,7 +105,11 @@ class DiscreteMeasure:
             raise ValueError("scale factor must be finite and positive")
         if self.is_zero:
             return DiscreteMeasure.zero()
-        return DiscreteMeasure(self.locations, self.weights * factor)
+        with np.errstate(over="ignore"):
+            weights = self.weights * factor
+        if weights.max() == np.inf:
+            raise RangeError(f"scaling the atom weights by {factor} overflows float64")
+        return DiscreteMeasure(self.locations, weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,23 +258,29 @@ def measure_from_density(d: GridDensity) -> SignedMeasure:
     # in i; two centres can round to one float only if width is within a few ulps of them.
     collide = not width > 4 * np.spacing(abs(d.t0) + 2 * d.n_bins * width)
     collide = collide and not np.all(np.diff(d.bin_centers()[d.samples != 0]) > 0)
-    idx = [np.flatnonzero(d.samples > 0), np.flatnonzero(d.samples < 0)]
-    with np.errstate(over="ignore"):
-        w = [np.abs(d.samples[i]) * width for i in idx]
-        totals = [_checked_total(None, part) for part in w]
+    parts = []
+    for i in (np.flatnonzero(d.samples > 0), np.flatnonzero(d.samples < 0)):
+        w, centres = d.samples[i], i + 0.5
+        np.abs(w, out=w)
+        centres *= width
+        centres += d.t0
+        with np.errstate(over="ignore"):
+            w *= width
+            csum = _running_sum(w)
+        parts.append(DiscreteMeasure._trusted(centres, w, float(csum[-1])))
+        if w.size:  # for the first measure_quantiles call on the part
+            parts[-1].__dict__["_csum"] = csum
     for failed, cause in (
         (collide, "bin centres collide in floating point"),
-        (any(np.any(part == 0) for part in w),
+        (any(np.any(p.weights == 0) for p in parts),
          "a nonzero density value times the bin width underflows to 0"),
-        (not all(np.all(np.isfinite(part)) for part in w),
+        (not all(np.all(np.isfinite(p.weights)) for p in parts),
          "a density value times the bin width overflows"),
-        (not np.all(np.isfinite(totals)), "the total mass of a part overflows"),
+        (not all(np.isfinite(p.total_mass) for p in parts), "the total mass of a part overflows"),
     ):
         if failed:
             raise RangeError(f"cannot bin the density: {cause}")
-    return SignedMeasure._trusted(*(
-        DiscreteMeasure._trusted(d.t0 + (i + 0.5) * width, part, total)
-        for i, part, total in zip(idx, w, totals)))
+    return SignedMeasure._trusted(*parts)
 
 
 def pushforward(samples: ArrayLike, mass: float) -> DiscreteMeasure:
@@ -301,17 +309,26 @@ def pushforward(samples: ArrayLike, mass: float) -> DiscreteMeasure:
 
 
 def _checked_total(total_mass: Optional[float], w: np.ndarray) -> float:
-    """The cumulative sum of ``w`` (inf where it overflows, with no warning), or
-    ``total_mass`` once checked against their sum."""
+    """The cumulative sum of ``w``, or ``total_mass`` once checked against their
+    sum; :class:`RangeError`, with no warning first, where either is not finite."""
     with np.errstate(over="ignore"):
-        if total_mass is None:
-            return float(np.cumsum(w)[-1]) if w.size else 0.0
         # Pairwise summation errs by about log(n) * eps; a cumulative sum
         # by up to n * eps, beyond MASS_RTOL for 1e5 equal weights.
-        total, computed = float(total_mass), float(np.sum(w))
+        computed = float(_running_sum(w)[-1] if total_mass is None else np.sum(w))
+    total = computed if total_mass is None else float(total_mass)
+    if not (np.isfinite(total) and np.isfinite(computed)):
+        raise RangeError("the total mass of the atoms overflows float64")
     if abs(total - computed) > MASS_RTOL * max(abs(total), abs(computed), 1.0):
         raise ValueError(f"total_mass {total} does not match the sum of weights {computed}")
     return total
+
+
+def _running_sum(w: np.ndarray) -> np.ndarray:
+    """``[0, *cumsum(w)]``, written once."""
+    csum = np.empty(w.size + 1)
+    csum[0] = 0.0
+    np.cumsum(w, out=csum[1:])
+    return csum
 
 
 def _check_span(t0: float, t1: float) -> None:
@@ -321,19 +338,25 @@ def _check_span(t0: float, t1: float) -> None:
 
 def _support_gap(a: np.ndarray, b: np.ndarray) -> float:
     """Smallest gap between entries of two strictly increasing arrays, from one
-    search of ``a`` in ``b``; a shared entry raises :class:`SingularityError`."""
-    if not a.size or not b.size:
+    search of the shorter in the longer; a shared entry raises
+    :class:`SingularityError` naming the smallest as ``a`` holds it (``-0.0`` or ``0.0``)."""
+    short, long = sorted((a, b), key=len)
+    if not short.size:
         return np.inf
-    idx = np.searchsorted(b, a)
-    above = b[np.minimum(idx, b.size - 1)]  # b[-1] < a where idx == b.size
-    below = b[np.maximum(idx - 1, 0)]  # b[0] >= a where idx == 0
-    common = above == a
+    idx = np.searchsorted(long, short)
+    above = long.take(idx, mode="clip")  # long[-1] < short where idx == long.size
+    common = above == short
     if np.any(common):
-        raise SingularityError(f"positive and negative parts share {np.count_nonzero(common)} "
-                               f"atom location(s), e.g. {a[common][0]}")
+        shared = (short if short is a else above)[common]
+        raise SingularityError(f"positive and negative parts share {shared.size} "
+                               f"atom location(s), e.g. {shared[0]}")
+    idx -= 1
+    below = long.take(idx, mode="clip")  # long[0] >= short where idx == -1
     # Unequal entries of which one is infinite, or whose gap overflows, are infinitely far apart.
     with np.errstate(over="ignore"):
-        return float(min(np.min(np.abs(above - a)), np.min(np.abs(a - below))))
+        above -= short
+        below -= short
+    return float(min(np.abs(above, out=above).min(), np.abs(below, out=below).min()))
 
 
 def rebin(m: SignedMeasure, t0: float, t1: float, n_bins: int) -> GridDensity:
@@ -354,17 +377,19 @@ def rebin(m: SignedMeasure, t0: float, t1: float, n_bins: int) -> GridDensity:
     def deposit(part: DiscreteMeasure) -> np.ndarray:
         if part.is_zero:
             return np.zeros(n_bins)
-        locs = part.locations
-        if not np.all(np.isfinite(locs)):
+        locs = part.locations  # strictly increasing: the ends are the extremes
+        if not (np.isfinite(locs[0]) and np.isfinite(locs[-1])):
             raise RangeError("cannot rebin atoms at +-inf onto a finite grid")
-        if np.any(locs < t0) or np.any(locs > t1):
+        if locs[0] < t0 or locs[-1] > t1:
             raise RangeError(
                 f"atoms outside the grid [{t0}, {t1}] cannot be rebinned"
             )
         return np.bincount(_bin_index(locs, t0, width, n_bins), weights=part.weights,
                            minlength=n_bins)
 
-    density = (deposit(m.positive_part) - deposit(m.negative_part)) / width
+    density = deposit(m.positive_part)
+    density -= deposit(m.negative_part)
+    density /= width
     return GridDensity(t0, t1, density)
 
 
@@ -372,7 +397,9 @@ def _bin_index(locs: np.ndarray, t0: float, width: float, n_bins: int) -> np.nda
     """The bin of each location of the grid ``[t0, t0 + n_bins * width]``
     (the right edge falls in the last bin), for locations already checked to
     lie on it."""
-    return np.minimum(((locs - t0) / width).astype(int), n_bins - 1)
+    offsets = locs - t0
+    offsets /= width
+    return np.minimum(offsets, n_bins - 1, out=offsets).astype(int)
 
 
 def measure_quantiles(m: DiscreteMeasure, q: np.ndarray) -> np.ndarray:
@@ -386,6 +413,9 @@ def measure_quantiles(m: DiscreteMeasure, q: np.ndarray) -> np.ndarray:
     """
     if m.is_zero:
         raise ValueError("the zero measure has no quantile function")
-    csum = np.concatenate(([0.0], np.cumsum(m.weights)))
+    # The running sum measure_from_density left for the first search; one pop, so one taker.
+    csum = m.__dict__.pop("_csum", None)
+    csum = _running_sum(m.weights) if csum is None else csum
     y = np.asarray(q, dtype=float) * csum[-1]
-    return np.minimum(_geninv_search(csum, m.locations, y), m.locations[-1])
+    out = _geninv_search(csum, m.locations, y)
+    return np.minimum(out, m.locations[-1], out=out)

@@ -44,7 +44,8 @@ class DistanceReport:
 
 
 def _require_finite_atoms(m: DiscreteMeasure, name: str) -> None:
-    if not m.is_zero and not np.all(np.isfinite(m.locations)):
+    # Locations increase strictly: only the first and last can be infinite.
+    if not m.is_zero and not np.all(np.isfinite(m.locations[[0, -1]])):
         raise MetricDomainError(f"{name} has atoms at +-inf; its second moment is infinite")
 
 
@@ -62,7 +63,8 @@ def _gaps(c1: CdtResult, c2: CdtResult, weight: float = 1.0) -> Tuple[float, flo
         # big * 2**-e lies in [1, 2), or below 1 where big is subnormal: 2**-e stays finite.
         e = max(math.frexp(big)[1] - 1, -1022)
         d *= math.ldexp(1.0, -e)
-        gap = weight * math.sqrt(np.mean(d * d)) * math.ldexp(1.0, e)
+        d *= d
+        gap = weight * math.sqrt(np.mean(d)) * math.ldexp(1.0, e)
     if gap == math.inf:
         raise MetricDomainError("the quantile gap overflows float64")
     return (max(gap, math.ulp(0.0)) if big > 0 else gap), abs(c1.mass - c2.mass)
@@ -134,7 +136,8 @@ def transform_l2(t1: ScdtResult, t2: ScdtResult, cfg: TransformConfig) -> float:
     weight = math.sqrt(cfg.reference.total_mass)
     parts = []
     for p1, p2 in ((t1.plus, t2.plus), (t1.minus, t2.minus)):
-        if not (np.all(np.isfinite(p1.samples)) and np.all(np.isfinite(p2.samples))):
+        # Samples do not decrease: only the first and last can be infinite.
+        if not np.all(np.isfinite([p1.samples[[0, -1]], p2.samples[[0, -1]]])):
             raise MetricDomainError("transform samples at +-inf have no finite L2 norm")
         parts.append(_hypot(*_gaps(p1, p2, weight)))
     return _hypot(*parts)

@@ -54,7 +54,13 @@ def _geninv_search(values: np.ndarray, breakpoints: np.ndarray, y: ArrayLike) ->
     batched grid transform replays for the rows its counts cannot settle.
     """
     j = np.searchsorted(values, y, side="right")
-    return np.concatenate(([NEG_INF], breakpoints, [POS_INF]))[j]
+    j -= 1  # the breakpoint before the first value above y
+    out = np.empty(np.shape(j))
+    if breakpoints.size:
+        breakpoints.take(j, mode="clip", out=out)
+    out[j < 0] = NEG_INF
+    out[j == breakpoints.size] = POS_INF
+    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -278,6 +278,31 @@ def min_gap_by_neighbours(a, b) -> float:
     return best
 
 
+def support_gap_brute_force(a, b) -> float:
+    """The smallest ``|a_i - b_j|`` over every pair of entries of two sorted
+    arrays (``inf`` where either is empty), or the ``SingularityError`` that
+    names how many entries they share and the smallest of them as ``a`` holds
+    it."""
+    shared = a[np.isin(a, b)]
+    if shared.size:
+        raise SingularityError(f"positive and negative parts share {shared.size} "
+                               f"atom location(s), e.g. {shared[0]}")
+    if not a.size or not b.size:
+        return np.inf
+    with np.errstate(over="ignore"):
+        return float(np.min(np.abs(np.subtract.outer(a, b))))
+
+
+def quantiles_by_padded_search(locations, weights, q) -> np.ndarray:
+    """The generalized inverse CDF of the normalized measure at levels ``q``:
+    the levels times the summed weights are searched in the cumulative
+    weights ``[0, *cumsum(weights)]``, the result indexes the locations padded
+    to ``[-inf, *locations, +inf]``, and is clamped to the last atom."""
+    csum = np.concatenate(([0.0], np.cumsum(weights)))
+    j = np.searchsorted(csum, np.asarray(q, dtype=float) * csum[-1], side="right")
+    return np.minimum(np.concatenate(([NEG_INF], locations, [POS_INF]))[j], locations[-1])
+
+
 def scdt_inverse_by_unique(t, cfg):
     """``(positive part, negative part, warning messages)`` of the inverse
     transform: ``np.unique`` merges equal samples into atoms of weight

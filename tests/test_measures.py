@@ -11,13 +11,20 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import discrete_measures, reference_measures, signed_measures
-from oracles import cdf_scan, measure_from_density_by_masks, quantile_scan
+from oracles import (
+    cdf_scan,
+    measure_from_density_by_masks,
+    quantile_scan,
+    quantiles_by_padded_search,
+    support_gap_brute_force,
+)
 from scdt.errors import InvalidReferenceError, RangeError, SingularityError
 from scdt.measures import (
     DiscreteMeasure,
     GridDensity,
     ReferenceMeasure,
     SignedMeasure,
+    _support_gap,
     cdf,
     measure_from_density,
     measure_quantiles,
@@ -57,6 +64,24 @@ class TestDiscreteMeasure:
             warnings.simplefilter("error")
             with pytest.raises(RangeError, match="total mass of the atoms overflows"):
                 DiscreteMeasure(np.array([0.0, 1.0]), np.array([1e308, 1e308]))
+
+    @pytest.mark.parametrize("build", [
+        lambda: DiscreteMeasure(np.array([0.0, 1.0]), np.array([1e308, 1e308]), total_mass=1.0),
+        # Three weights of max / 3 sum past the largest float.
+        lambda: pushforward(np.arange(3.0), np.finfo(float).max),
+    ], ids=["constructor", "pushforward"])
+    def test_given_total_of_overflowing_weights_raises_range_error(self, build):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeError, match="total mass of the atoms overflows"):
+                build()
+
+    def test_scaled_overflow_raises_range_error(self):
+        m = DiscreteMeasure(np.array([0.0, 1.0]), np.array([1.0, 1e308]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeError, match="by 10.0 overflows"):
+                m.scaled(10.0)
 
     def test_infinite_locations_allowed(self):
         m = DiscreteMeasure(np.array([NEG_INF, 0.0, POS_INF]), np.array([1.0, 2.0, 3.0]))
@@ -181,6 +206,27 @@ class TestSignedMeasure:
         b = DiscreteMeasure(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
         with pytest.raises(SingularityError):
             SignedMeasure(a, b)
+
+    @given(st.data())
+    def test_support_gap_is_symmetric_and_matches_brute_force(self, data):
+        atoms = st.floats(allow_nan=False)
+        a = np.sort(np.array(data.draw(st.lists(atoms, max_size=10, unique=True)), dtype=float))
+        # Entries of a, or 1e-9 away from them, make collisions and near-collisions.
+        near = st.tuples(st.sampled_from(a.tolist() or [0.0]), st.sampled_from([0.0, 1e-9, -1e-9]))
+        b = np.sort(np.array(data.draw(st.lists(atoms | near.map(lambda t: t[0] + t[1]),
+                                                max_size=10, unique=True)), dtype=float))
+
+        def outcome(fn, x, y):
+            try:
+                return fn(x, y)
+            except SingularityError as exc:
+                return str(exc)
+
+        ab, ba = (outcome(_support_gap, x, y) for x, y in ((a, b), (b, a)))
+        assert ab == outcome(support_gap_brute_force, a, b)
+        assert ba == outcome(support_gap_brute_force, b, a)
+        # A shared zero is named with the sign its first argument gives it.
+        assert ab == ba or ab.replace("-0.0", "0.0") == ba.replace("-0.0", "0.0")
 
     def test_total_variation(self):
         s = SignedMeasure(
@@ -512,6 +558,30 @@ class TestRebin:
         with pytest.raises(RangeError):
             rebin(m, 0.0, 1.0, 4)
 
+    @pytest.mark.parametrize("locs, message", [
+        ([-0.5, 0.25, 0.5], "outside the grid"),
+        ([0.25, 0.5, 1.5], "outside the grid"),
+        ([NEG_INF, 0.25, 0.5], "at [+]-inf"),
+        ([0.25, 0.5, POS_INF], "at [+]-inf"),
+        ([-0.5, 0.5, POS_INF], "at [+]-inf"),
+        ([NEG_INF, 0.5, 1.5], "at [+]-inf"),
+    ], ids=["below-first", "above-last", "neg-inf-first", "pos-inf-last", "below-and-pos-inf",
+            "neg-inf-and-above"])
+    @pytest.mark.parametrize("side", ["positive", "negative"])
+    def test_multi_atom_part_with_a_bad_end_rejected(self, locs, message, side):
+        bad = DiscreteMeasure(np.array(locs), np.ones(3))
+        good = DiscreteMeasure(np.array([0.125, 0.375, 0.875]), np.ones(3))
+        m = SignedMeasure(bad, good) if side == "positive" else SignedMeasure(good, bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeError, match=message):
+                rebin(m, 0.0, 1.0, 4)
+
+    def test_atoms_on_both_grid_edges_kept(self):
+        m = SignedMeasure(DiscreteMeasure(np.array([0.0, 0.5, 1.0]), np.ones(3)),
+                          DiscreteMeasure(np.array([0.125, 0.875]), np.ones(2)))
+        assert np.array_equal(rebin(m, 0.0, 1.0, 4).samples, [0.0, 0.0, 4.0, 0.0])
+
     @given(signed_measures(max_atoms=6))
     def test_preserves_signed_mass(self, s):
         d = rebin(s, -150.0, 150.0, 64)
@@ -568,6 +638,41 @@ class TestMeasureQuantiles:
         q = np.array([0.0, 1.0, np.nextafter(1.0, 0.0), *random_levels])
         expected = np.minimum(cdf(m).geninv_eval(q * m.total_mass), m.locations[-1])
         assert np.array_equal(measure_quantiles(m, q), expected)
+
+    levels = st.lists(st.floats(min_value=-1.0, max_value=2.0) | st.just(float("nan")),
+                      max_size=20).map(lambda q: np.array(q, dtype=float))
+
+    @given(
+        st.lists(st.floats(min_value=-100.0, max_value=100.0), min_size=1, max_size=8,
+                 unique=True),
+        st.sampled_from([(), (NEG_INF,), (POS_INF,), (NEG_INF, POS_INF)]),
+        levels,
+        st.data(),
+    )
+    def test_matches_padded_search(self, finite, ends, q, data):
+        locs = np.sort(np.concatenate((finite, ends)))
+        weights = data.draw(st.lists(st.floats(min_value=1e-300, max_value=1e300),
+                                     min_size=locs.size, max_size=locs.size))
+        m = DiscreteMeasure(locs, np.array(weights))
+        expected = quantiles_by_padded_search(m.locations, m.weights, q)
+        assert measure_quantiles(m, q).tobytes() == expected.tobytes()
+
+    @given(
+        st.lists(st.just(0.0) | st.floats(min_value=1e-6, max_value=1e3)
+                 | st.floats(min_value=-1e3, max_value=-1e-6), min_size=1, max_size=40),
+        levels,
+    )
+    def test_density_parts_match_padded_search(self, samples, q):
+        s = measure_from_density(GridDensity(-1.0, 2.0, np.array(samples)))
+        for part in (s.positive_part, s.negative_part):
+            if part.is_zero:
+                continue
+            expected = quantiles_by_padded_search(part.locations, part.weights, q)
+            # The first search takes the running sum measure_from_density left; the second sums.
+            assert "_csum" in vars(part)
+            for _ in range(2):
+                assert measure_quantiles(part, q).tobytes() == expected.tobytes()
+                assert "_csum" not in vars(part)
 
     @given(discrete_measures(max_atoms=12))
     def test_non_decreasing_on_sorted_levels(self, m):

@@ -195,6 +195,11 @@ class TestGeninvEval:
         assert f.geninv_eval(1.0) == POS_INF
         assert f.geninv_eval(-0.25) == NEG_INF
 
+    def test_no_breakpoints_on_arrays(self):
+        f = StepFunction(np.empty(0), np.array([3.5]))
+        got = f.geninv_eval(np.array([[-1.0, 3.5], [NEG_INF, POS_INF]]))
+        assert np.array_equal(got, [[NEG_INF, POS_INF], [NEG_INF, POS_INF]])
+
     @given(monotone_steps())
     def test_matches_structural_scan(self, f):
         for y in y_probes(f):

@@ -490,8 +490,12 @@ class TestTransformMemo:
         s = self._measure()
         plus = s.positive_part
         before = repr(plus)
+        # The running sum measure_from_density leaves for the first search is no field either.
+        assert "_csum" in vars(plus) and "_csum" not in vars(dataclasses.replace(plus))
+        assert "_csum" not in vars(pickle.loads(pickle.dumps(plus)))
         scdt_forward(s, TransformConfig(n_quantiles=32))
-        assert "_memo" in vars(plus)
+        assert "_memo" in vars(plus) and "_csum" not in vars(plus)
+        assert "_csum" not in vars(s.negative_part)
         assert repr(plus) == before
         assert [f.name for f in dataclasses.fields(plus)] == ["locations", "weights", "total_mass"]
         assert "_memo" not in vars(dataclasses.replace(plus))
