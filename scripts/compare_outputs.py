@@ -30,7 +30,8 @@ Each checkout's ``src`` is imported in its own interpreter, which dumps:
   nonnegative densities at M = 2^17;
 - ``measure_quantiles`` on measures with atoms at +-inf, at the levels
   0, -0.0, -0.5, 1, 1.5, nextafter(1, 0), 5e-324, +-inf, NaN and random
-  levels, and on both parts of small densities through
+  levels, at the last ten of those levels and 0.5 one at a time as scalars
+  (``quantiles/<k>/scalar``, with the type of each result), and on both parts of small densities through
   ``measure_from_density`` (``quantiles/density/*``), searched twice: the
   first search takes the running sum the conversion leaves on the part;
 - the smallest support gap and shared atoms of random parts with +-inf
@@ -534,6 +535,10 @@ def dump():
         w = rng.exponential(size=locs.size) * 10.0 ** rng.integers(-300, 300)
         m = scdt.DiscreteMeasure(locs, w)
         out[f"quantiles/{k}"] = scdt.measure_quantiles(m, levels)
+        # Scalar and 0-d levels: the type of each result is compared too.
+        out[f"quantiles/{k}/scalar"] = [
+            (type(v).__name__, float(v))
+            for v in (scdt.measure_quantiles(m, x) for x in [*levels[-10:], np.array(0.5)])]
     for k in range(12):
         d = scdt.GridDensity(-1.0, 2.0, rng.choice((-1.0, 0.0, 1.0), size=int(rng.integers(1, 40)))
                              * rng.exponential(size=1) * 10.0 ** rng.integers(-300, 300))

@@ -325,8 +325,7 @@ def _checked_total(total_mass: Optional[float], w: np.ndarray) -> float:
 
 def _running_sum(w: np.ndarray) -> np.ndarray:
     """``[0, *cumsum(w)]``, written once."""
-    csum = np.empty(w.size + 1)
-    csum[0] = 0.0
+    csum = np.zeros(w.size + 1)
     np.cumsum(w, out=csum[1:])
     return csum
 
@@ -338,24 +337,21 @@ def _check_span(t0: float, t1: float) -> None:
 
 def _support_gap(a: np.ndarray, b: np.ndarray) -> float:
     """Smallest gap between entries of two strictly increasing arrays, from one
-    search of the shorter in the longer; a shared entry raises
-    :class:`SingularityError` naming the smallest as ``a`` holds it (``-0.0`` or ``0.0``)."""
-    short, long = sorted((a, b), key=len)
-    if not short.size:
+    search of ``a`` in ``b``; a shared entry raises :class:`SingularityError`."""
+    if not a.size or not b.size:
         return np.inf
-    idx = np.searchsorted(long, short)
-    above = long.take(idx, mode="clip")  # long[-1] < short where idx == long.size
-    common = above == short
+    idx = np.searchsorted(b, a)
+    above = b.take(idx, mode="clip")  # b[-1] < a where idx == b.size
+    common = above == a
     if np.any(common):
-        shared = (short if short is a else above)[common]
-        raise SingularityError(f"positive and negative parts share {shared.size} "
-                               f"atom location(s), e.g. {shared[0]}")
+        raise SingularityError(f"positive and negative parts share {np.count_nonzero(common)} "
+                               f"atom location(s), e.g. {a[common][0]}")
     idx -= 1
-    below = long.take(idx, mode="clip")  # long[0] >= short where idx == -1
+    below = b.take(idx, mode="clip")  # b[0] >= a where idx == -1
     # Unequal entries of which one is infinite, or whose gap overflows, are infinitely far apart.
     with np.errstate(over="ignore"):
-        above -= short
-        below -= short
+        above -= a
+        below -= a
     return float(min(np.abs(above, out=above).min(), np.abs(below, out=below).min()))
 
 
@@ -416,6 +412,5 @@ def measure_quantiles(m: DiscreteMeasure, q: np.ndarray) -> np.ndarray:
     # The running sum measure_from_density left for the first search; one pop, so one taker.
     csum = m.__dict__.pop("_csum", None)
     csum = _running_sum(m.weights) if csum is None else csum
-    y = np.asarray(q, dtype=float) * csum[-1]
-    out = _geninv_search(csum, m.locations, y)
-    return np.minimum(out, m.locations[-1], out=out)
+    out = _geninv_search(csum, m.locations, np.asarray(q, dtype=float) * csum[-1])
+    return np.minimum(out, m.locations[-1], out=out)[()]  # a numpy float for a scalar q

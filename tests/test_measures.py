@@ -656,6 +656,12 @@ class TestMeasureQuantiles:
         m = DiscreteMeasure(locs, np.array(weights))
         expected = quantiles_by_padded_search(m.locations, m.weights, q)
         assert measure_quantiles(m, q).tobytes() == expected.tobytes()
+        # A scalar level gives a numpy float, as the padded search does.
+        for level in q.tolist() + [np.array(0.5)]:
+            got = measure_quantiles(m, level)
+            want = quantiles_by_padded_search(m.locations, m.weights, level)
+            assert type(got) is type(want) is np.float64
+            assert got.tobytes() == want.tobytes()
 
     @given(
         st.lists(st.just(0.0) | st.floats(min_value=1e-6, max_value=1e3)
