@@ -9,10 +9,14 @@ Each checkout's ``src`` is imported in its own interpreter, which dumps:
   ``experiment/<seed>``, and the 2-D projections under
   ``experiment/<seed>/projections``, so a change that moves only the last
   bits of the projections shows as exactly those keys;
-- ``generate_dataset`` labels and samples on the same seeds, and the three
-  class templates on the default grid;
+- ``generate_dataset`` labels and samples on the same seeds, read from its
+  ``(label, GridDensity)`` pairs (``dataset/<seed>``) and from the arrays of
+  the view it returns (``dataset/<seed>/view``: labels, ``t0``, ``t1`` and
+  samples; a checkout whose ``generate_dataset`` returns plain pairs builds
+  them from the pairs), and the three class templates on the default grid;
 - ``featurize`` rows of both kinds (raw samples and transforms) of those
-  datasets, and transform rows at M = 2^17 of 64-bin signed densities at
+  datasets, passed as returned and as a list of pairs
+  (``featurize/<kind>/<seed>/pairs``), and transform rows at M = 2^17 of 64-bin signed densities at
   the scales 1e-320 and 1e300 and of a batch mixing 1e-320, 1e-305, 1 and
   1e300 (``featurize/extreme/*``, warnings raised as errors); the part
   totals of the smaller two scales are too small to count levels against
@@ -24,7 +28,10 @@ Each checkout's ``src`` is imported in its own interpreter, which dumps:
 - ``read_signal_csv`` of files whose ``t`` span or half-bin edge
   overflows float64 (``csv/overflow/*``), with warnings raised as errors;
 - ``generate_dataset`` on two configs whose warps cannot be rebinned: atoms
-  off the grid and atoms that collapse onto each other (both raise);
+  off the grid and atoms that collapse onto each other (both raise), on
+  three small configs (no noise, integer warp ranges, loud noise), and, with
+  warnings raised as errors, on a config whose warped atoms leave float64
+  (``dataset/beyond-float64``: ``a = 1e-310``);
 - ``scdt_forward`` samples and masses, ``rebin(scdt_inverse(...))``,
   ``d_s`` values and components and ``transform_l2`` on 4e5-bin signed and
   nonnegative densities at M = 2^17;
@@ -101,10 +108,11 @@ difference; for a differing key of float arrays the largest
 ``|old - new| / max|old|`` is printed too, and the largest over all such
 keys at the end.  A case that raises is recorded
 by exception type and message, and whether the type is one of the
-package's typed errors (``ScdtError``).  One that raises in OLD and succeeds
-in NEW, or raises a bare ``ValueError`` in OLD and a typed error in NEW, is
-listed as fixed, not as a mismatch.  Exit status 1 means some output
-differs.
+package's typed errors (``ScdtError``).  Only a case that raises a bare
+``ValueError`` in OLD and a typed error in NEW is listed as fixed, not as a
+mismatch; one that raises in OLD and returns a value in NEW differs, so a
+change that drops a check fails the comparison.  Exit status 1 means some
+output differs.
 """
 
 from __future__ import annotations
@@ -207,6 +215,16 @@ def _extreme_features(scdt, scales):
 
 def _density(d):
     return d.t0, d.t1, d.samples
+
+
+def _view_arrays(signals):
+    """``(labels, t0, t1, samples)`` of a ``generate_dataset`` result, read
+    from its arrays, or from its pairs where it returns a plain list."""
+    if isinstance(signals, list):
+        first = signals[0][1]
+        return (np.array([label for label, _ in signals]), first.t0, first.t1,
+                np.stack([d.samples for _, d in signals]))
+    return signals.labels, signals.t0, signals.t1, signals.samples
 
 
 def _reference_round_trip(scdt, xs, ys):
@@ -477,9 +495,12 @@ def dump():
         signals = scdt.generate_dataset(scdt.GenConfig(seed=seed))
         out[f"dataset/{seed}"] = (np.array([label for label, _ in signals]),
                                   np.stack([d.samples for _, d in signals]))
+        out[f"dataset/{seed}/view"] = _view_arrays(signals)
         for kind in scdt.classify.FEATURE_KINDS:
             features = scdt.featurize(signals, kind, scdt.TransformConfig())
             out[f"featurize/{kind}/{seed}"] = (features.labels, features.rows)
+            features = scdt.featurize(list(signals), kind, scdt.TransformConfig())
+            out[f"featurize/{kind}/{seed}/pairs"] = (features.labels, features.rows)
     for name, scales in (("1e-320", [1e-320] * 4), ("1e300", [1e300] * 4),
                          ("mixed", [1e-320, 1e-305, 1.0, 1e300])):
         out[f"featurize/extreme/{name}"] = _checked(lambda: _extreme_features(scdt, scales))
@@ -502,10 +523,15 @@ def dump():
     edge_configs = {
         "off_grid": dict(a_range=(0.1, 0.1)),
         "collapsing": dict(t0=-3.0, a_range=(1e15, 1e15), b_range=(1e15, 1e15), per_class=1),
+        "noiseless": dict(noise_sigma=0.0, per_class=5, n_grid=64),
+        "integer-ranges": dict(a_range=(1, 2), b_range=(0, 0), per_class=5, n_grid=64, seed=4),
+        "loud": dict(noise_sigma=3.0, per_class=5, n_grid=32, seed=9),
     }
     for name, kwargs in edge_configs.items():
         out[f"dataset/{name}"] = _try(lambda: [
             d.samples for _, d in scdt.generate_dataset(scdt.GenConfig(**kwargs))])
+    out["dataset/beyond-float64"] = _checked(lambda: [d.samples for _, d in scdt.generate_dataset(
+        scdt.GenConfig(a_range=(1e-310, 1e-310), per_class=1))])
 
     cfg = scdt.TransformConfig(n_quantiles=LARGE_M)
     measures, transforms = [], []
@@ -706,13 +732,12 @@ def main(argv):
     mismatched, fixed = [], []
     for key in sorted(old.keys() | new.keys()):
         was, now = _raised(old.get(key)), _raised(new.get(key))
-        if key in new and was and (not now or (not was[3] and now[3])):
-            fixed.append(f"{key}: {was[1]}: {was[2]}" + (f" -> {now[1]}: {now[2]}" if now else ""))
+        if was and now and was[1] == "ValueError" and now[3]:
+            fixed.append(f"{key}: {was[1]}: {was[2]} -> {now[1]}: {now[2]}")
         elif key not in old or key not in new or not _same(old[key], new[key]):
             mismatched.append(key)
     print(f"{len(old.keys() | new.keys())} outputs compared; {len(mismatched)} differ; "
-          f"{len(fixed)} fixed (raised in OLD only, or a bare ValueError in OLD and a typed "
-          "error in NEW)")
+          f"{len(fixed)} fixed (a bare ValueError in OLD and a typed error in NEW)")
     for line in fixed:
         print("  fixed:", line)
     worst = []

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .genmodel import GenConfig, LabeledSignals, generate_dataset
+from .genmodel import GenConfig, LabeledSignals, _integer_labels, generate_dataset
 from .transform import TransformConfig, scdt_forward_batch
 
 __all__ = [
@@ -46,11 +46,7 @@ class FeatureMatrix:
 
     def __post_init__(self) -> None:
         rows = np.asarray(self.rows, dtype=float)
-        labels = np.asarray(self.labels)
-        with np.errstate(invalid="ignore"):  # a label that int64 cannot hold casts to another
-            if labels.dtype.kind not in "biuf" or not np.array_equal(labels.astype(int), labels):
-                raise ValueError("labels must be integers")
-        labels = np.asarray(labels, dtype=int)
+        labels = _integer_labels(self.labels)
         if rows.ndim != 2 or labels.ndim != 1 or rows.shape[0] != labels.size:
             raise ValueError("rows must be (n_signals, n_features) with one label per row")
         if not np.all(np.isfinite(rows)):
@@ -62,27 +58,41 @@ class FeatureMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "labels", labels)
 
+    @classmethod
+    def _trusted(cls, rows: np.ndarray, labels: np.ndarray, feature_kind: str):
+        """A matrix of arrays the library built and checked; no ``__post_init__``."""
+        rows.setflags(write=False)
+        labels.setflags(write=False)
+        m = object.__new__(cls)
+        m.__dict__.update(rows=rows, labels=labels, feature_kind=feature_kind)
+        return m
+
     def subset(self, index: np.ndarray) -> "FeatureMatrix":
-        return FeatureMatrix(self.rows[index], self.labels[index], self.feature_kind)
+        return FeatureMatrix._trusted(self.rows[index], self.labels[index], self.feature_kind)
 
 
-def featurize(signals: LabeledSignals, kind: str, cfg: TransformConfig) -> FeatureMatrix:
-    """Vectorize labeled signals: the raw density samples, or the transform
-    tuple (plus samples, plus mass, minus samples, minus mass) of length
-    ``2 * n_quantiles + 2``, all under one shared config."""
+def featurize(
+    signals: Union[LabeledSignals, Sequence], kind: str, cfg: TransformConfig
+) -> FeatureMatrix:
+    """Vectorize labeled signals, a :class:`LabeledSignals` view or a list of
+    ``(label, GridDensity)`` pairs on one grid: the raw density samples, or
+    the transform tuple (plus samples, plus mass, minus samples, minus mass)
+    of length ``2 * n_quantiles + 2``, all under one shared config."""
     if kind not in FEATURE_KINDS:
         raise ValueError(f"feature_kind must be one of {FEATURE_KINDS}")
     if not signals:
         raise ValueError("no signals to featurize")
-    labels = np.array([label for label, _ in signals], dtype=int)
-    first = signals[0][1]
-    grids = {(d.t0, d.t1, d.n_bins) for _, d in signals}
-    if len(grids) != 1:
-        raise ValueError("all signals must share one grid")
-    rows = np.stack([d.samples for _, d in signals])
+    if not isinstance(signals, LabeledSignals):
+        grids = {(d.t0, d.t1, d.n_bins) for _, d in signals}
+        if len(grids) != 1:
+            raise ValueError("all signals must share one grid")
+        (t0, t1, _), = grids
+        signals = LabeledSignals([label for label, _ in signals], t0, t1,
+                                 [d.samples for _, d in signals])
+    rows = signals.samples
     if kind == "scdt":
-        rows = scdt_forward_batch(rows, first.t0, first.t1, cfg)
-    return FeatureMatrix(rows, labels, kind)
+        rows = scdt_forward_batch(rows, signals.t0, signals.t1, cfg)
+    return FeatureMatrix._trusted(rows, signals.labels, kind)
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,24 +141,21 @@ def fit_lda(train: FeatureMatrix, lda_lambda: float = DEFAULT_LDA_LAMBDA) -> Lda
     if not 0 < lda_lambda < np.inf:
         raise ValueError("lda_lambda must be finite and positive")
     X, y = train.rows, train.labels
-    classes = np.unique(y)
+    classes, inverse = np.unique(y, return_inverse=True)
     if classes.size < 2:
         raise ValueError("need at least two classes")
-    n, p = X.shape
+    p = X.shape[1]
     mu = X.mean(axis=0)
-    centred = np.empty((n, p))
-    class_means = np.empty((classes.size, p))
-    for k, c in enumerate(classes):
-        Xc = X[y == c]
-        if Xc.shape[0] < 2:
-            raise ValueError("need at least two samples per class")
-        class_means[k] = mc = Xc.mean(axis=0)
-        centred[y == c] = Xc - mc
+    if np.bincount(inverse).min() < 2:
+        raise ValueError("need at least two samples per class")
+    class_means = np.stack([X[y == c].mean(axis=0) for c in classes])
+    centred = class_means[inverse]  # one n x p buffer, X minus each row's class mean
+    np.subtract(X, centred, out=centred)
     trace = float(np.vdot(centred, centred))
     lam_eff = lda_lambda * trace / p if trace > 0 else float(lda_lambda)
     if not 0 < lam_eff < np.inf:
         raise ValueError("feature values are out of range: the scatter over- or underflows")
-    h, tau = np.linalg.qr((X - mu).T, mode="raw")
+    h, tau = np.linalg.qr(np.subtract(X, mu, out=centred).T, mode="raw")  # the buffer, reused
     coords = np.tril(h[:, : tau.size])  # the rows of X - mu in the basis Q; they sum to 0
     between = np.empty((tau.size, classes.size))
     for k, c in enumerate(classes):

@@ -11,7 +11,7 @@ reparameterizations of three fixed signed templates and adds Gaussian noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -23,13 +23,15 @@ from .measures import (
     measure_from_density,
     rebin,
 )
-from .steps import ArrayLike, PiecewiseLinearMap, _like
+from .errors import RangeError, ScdtError
+from .steps import ArrayLike, PiecewiseLinearMap, _along, _like
 from .transform import CdtResult, ScdtResult, TransformConfig, scdt_forward
 
 __all__ = [
     "IncreasingReparam",
     "ClassTemplate",
     "GenConfig",
+    "LabeledSignals",
     "TEMPLATES",
     "apply_reparam",
     "predict_transform_under_reparam",
@@ -47,6 +49,7 @@ class IncreasingReparam:
     Use the classmethod constructors; ``forward`` realizes ``g`` and
     ``inverse`` realizes ``g^-1`` (which equals the monotone generalized
     inverse ``g^+`` because ``g`` is continuous and strictly increasing).
+    Either raises :class:`ValueError` where a point's image leaves float64.
     """
 
     kind: str
@@ -93,14 +96,14 @@ class IncreasingReparam:
     def forward(self, x: ArrayLike) -> Union[float, np.ndarray]:
         if self.kind == "piecewise_linear":
             return self.pwl(x)
-        xa = np.asarray(x, dtype=float)
-        return _like(x, xa / self.a if self.kind == "dilation" else self.a * xa + self.b)
+        xa, dilation = np.asarray(x, dtype=float), self.kind == "dilation"
+        return _like(x, _along(-0.0 if dilation else self.b, 0.0, xa, self.a, divide=dilation))
 
     def inverse(self, y: ArrayLike) -> Union[float, np.ndarray]:
         if self.kind == "piecewise_linear":
             return self.pwl.preimage(y)
-        ya = np.asarray(y, dtype=float)
-        return _like(y, self.a * ya if self.kind == "dilation" else (ya - self.b) / self.a)
+        ya, dilation = np.asarray(y, dtype=float), self.kind == "dilation"
+        return _like(y, _along(-0.0, 0.0 if dilation else self.b, ya, self.a, divide=not dilation))
 
     __call__ = forward
 
@@ -202,8 +205,8 @@ class GenConfig:
             raise ValueError("n_grid must be at least 1")
         object.__setattr__(self, "n_grid", int(self.n_grid))
         for name, (lo, hi) in (("a_range", self.a_range), ("b_range", self.b_range)):
-            if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
-                raise ValueError(f"{name} must be a finite nonempty interval")
+            if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi and np.isfinite(hi - lo)):
+                raise ValueError(f"{name} must be a finite nonempty interval of finite width")
         if self.a_range[0] <= 0:
             raise ValueError("a_range must be positive (strictly increasing reparameterizations)")
         if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
@@ -225,54 +228,99 @@ class GenConfig:
         return sum(self.per_class)
 
 
-LabeledSignals = List[Tuple[int, GridDensity]]
+def _integer_labels(labels) -> np.ndarray:
+    """``labels`` as an int array, refused unless each is a whole number int64 holds."""
+    labels = np.asarray(labels)
+    with np.errstate(invalid="ignore"):  # a label that int64 cannot hold casts to another
+        if labels.dtype.kind not in "biuf" or not np.array_equal(labels.astype(int), labels):
+            raise ValueError("labels must be integers")
+    return np.asarray(labels, dtype=int)
+
+
+@dataclass(frozen=True, eq=False)
+class LabeledSignals:
+    """Labeled signals on one grid ``[t0, t1]`` as arrays: int ``labels`` and
+    read-only ``samples``, one density per row.  It reads as the sequence of
+    its ``(label, GridDensity)`` pairs."""
+
+    labels: np.ndarray
+    t0: float
+    t1: float
+    samples: np.ndarray
+
+    def __post_init__(self) -> None:
+        labels = _integer_labels(self.labels)
+        samples = np.asarray(self.samples, dtype=float)
+        if samples.ndim != 2 or labels.ndim != 1 or labels.size != samples.shape[0]:
+            raise ValueError("samples must be (n_signals, n_bins) with one label per row")
+        grid = GridDensity(self.t0, self.t1, samples.reshape(-1))  # its grid and sample checks
+        labels.setflags(write=False)
+        samples.setflags(write=False)
+        self.__dict__.update(labels=labels, t0=grid.t0, t1=grid.t1, samples=samples)
+
+    def __len__(self) -> int:
+        return self.labels.size
+
+    def __getitem__(self, i: int) -> Tuple[int, GridDensity]:
+        return int(self.labels[i]), GridDensity(self.t0, self.t1, self.samples[i])
 
 
 def generate_dataset(cfg: GenConfig) -> LabeledSignals:
     """Generate labeled noisy signals, class by class, deterministically under
-    the config seed.  Returns ``(label, density)`` pairs in generation order.
+    the config seed, as one :class:`LabeledSignals` in generation order.
 
     Each signal is ``rebin(apply_reparam(template measure, affine(a, b)))``
     plus noise, computed for a whole class at once; a signal whose warped
-    atoms merge or leave the grid is recomputed on that per-signal path,
-    which merges the atoms or raises for it."""
+    atoms merge or leave the grid (or float64) is recomputed on that
+    per-signal path, which merges the atoms or raises for it."""
     rng = np.random.default_rng(cfg.seed)
     t0, t1, n = float(cfg.t0), float(cfg.t1), cfg.n_grid
     centers = GridDensity(t0, t1, np.zeros(n)).bin_centers()
-    out: LabeledSignals = []
+    samples, start = np.empty((cfg.n_signals, n)), 0
+    (a_lo, a_hi), (b_lo, b_hi) = map(float, cfg.a_range), map(float, cfg.b_range)
     for label, template in enumerate(TEMPLATES):
         base = measure_from_density(GridDensity(t0, t1, template(centers)))
         count = cfg.per_class[label]
-        a, b, noise = np.empty(count), np.empty(count), np.empty((count, n))
-        # One signal at a time draws a, b, then its noise: keep that order.
+        a, b, rows = np.empty(count), np.empty(count), samples[start:start + count]
+        start += count
+        # One signal at a time draws a, b, then its noise: keep that order.  These are the
+        # variates of rng.uniform and rng.normal(0.0, sigma), scaled as those scale them.
         for i in range(count):
-            a[i], b[i] = rng.uniform(*cfg.a_range), rng.uniform(*cfg.b_range)
-            noise[i] = rng.normal(0.0, cfg.noise_sigma, n)
-        density, exact = _warp_and_rebin(base, a, b, t0, t1, n)
-        for i, row in enumerate(density + noise):
-            if not exact[i]:
+            a[i], b[i] = rng.random(), rng.random()
+            rng.standard_normal(out=rows[i])
+        a, b = a_lo + (a_hi - a_lo) * a, b_lo + (b_hi - b_lo) * b
+        with np.errstate(over="ignore"):  # noise beyond float64 is refused as not finite
+            rows *= cfg.noise_sigma
+        rows += 0.0  # 0.0 + sigma * variate, so -0.0 becomes 0.0 as in rng.normal
+        for i in np.flatnonzero(~_warp_and_rebin(base, a, b, t0, t1, rows)):
+            try:
                 warped = apply_reparam(base, IncreasingReparam.affine(a[i], b[i]))
-                row = rebin(warped, t0, t1, n).samples + noise[i]
-            out.append((label, GridDensity(t0, t1, row)))
-    return out
+            except ScdtError:
+                raise
+            except ValueError:  # a warped location leaves float64, so it lies off the grid
+                raise RangeError(
+                    f"atoms outside the grid [{t0}, {t1}] cannot be rebinned") from None
+            rows[i] += rebin(warped, t0, t1, n).samples
+    return LabeledSignals(np.repeat(np.arange(len(TEMPLATES)), cfg.per_class), t0, t1, samples)
 
 
 def _warp_and_rebin(
-    base: SignedMeasure, a: np.ndarray, b: np.ndarray, t0: float, t1: float, n: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Row ``i`` of the first array is ``rebin(apply_reparam(base,
-    IncreasingReparam.affine(a[i], b[i])), t0, t1, n).samples`` wherever row
-    ``i`` of the second is True: the warped atoms stay strictly increasing and
-    on the grid, so no weights merge and one ``bincount`` over row-offset bin
+    base: SignedMeasure, a: np.ndarray, b: np.ndarray, t0: float, t1: float, out: np.ndarray
+) -> np.ndarray:
+    """Adds ``rebin(apply_reparam(base, IncreasingReparam.affine(a[i], b[i])),
+    t0, t1, n).samples`` to row ``i`` of ``out`` wherever row ``i`` of the
+    returned mask is True: the warped atoms stay strictly increasing and on
+    the grid, so no weights merge and one ``bincount`` over row-offset bin
     indices adds each bin's weights in the same order as ``rebin``."""
     pos, neg = base.positive_part, base.negative_part
     locations = np.concatenate((pos.locations, neg.locations))
-    warped = (locations - b[:, None]) / a[:, None]
+    with np.errstate(over="ignore"):  # a row that overflows is not exact
+        warped = (locations - b[:, None]) / a[:, None]
     ordered = warped[:, np.argsort(locations)]
     exact = np.all(ordered[:, 1:] > ordered[:, :-1], axis=1) & np.all(
         (warped >= t0) & (warped <= t1), axis=1
     )
-    rows = np.count_nonzero(exact)
+    rows, n = np.count_nonzero(exact), out.shape[1]
     width = (t1 - t0) / n
     index = _bin_index(warped[exact], t0, width, n) + n * np.arange(rows)[:, None]
 
@@ -281,9 +329,8 @@ def _warp_and_rebin(
         return np.bincount(cols.ravel(), weights.ravel(), minlength=rows * n)
 
     pos_index, neg_index = np.split(index, [pos.weights.size], axis=1)
-    density = np.zeros((a.size, n))
-    density[exact] = ((deposit(pos, pos_index) - deposit(neg, neg_index)) / width).reshape(rows, n)
-    return density, exact
+    out[exact] += ((deposit(pos, pos_index) - deposit(neg, neg_index)) / width).reshape(rows, n)
+    return exact
 
 
 def convexity_probe(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from scdt import DiscreteMeasure, ReferenceMeasure, SignedMeasure
+from scdt import DiscreteMeasure, GenConfig, ReferenceMeasure, SignedMeasure
 
 settings.register_profile(
     "scdt",
@@ -109,6 +109,23 @@ def reference_measures(draw):
         ]
     )
     return ReferenceMeasure(xs=xs, ys=ys)
+
+
+#: Warped atoms merge on every signal without touching across parts, so every
+#: signal of this dataset takes ``generate_dataset``'s per-signal path.
+MERGING_GEN = GenConfig(a_range=(4.2e13, 4.4e13), b_range=(-1.31e14, -1.29e14),
+                        per_class=(2, 2, 2), seed=3)
+
+
+def gen_configs():
+    """Small dataset configs: 1-6 signals per class on 1-64 bins under any
+    seed, and :data:`MERGING_GEN`."""
+    return st.one_of(
+        st.builds(GenConfig, n_grid=st.integers(min_value=1, max_value=64),
+                  per_class=st.tuples(*[st.integers(min_value=1, max_value=6)] * 3),
+                  seed=st.integers(min_value=0, max_value=2**32 - 1)),
+        st.just(MERGING_GEN),
+    )
 
 
 @pytest.fixture

@@ -206,6 +206,20 @@ def lda_explicit_q(X, y, lda_lambda: float) -> LdaModel:
     return LdaModel(projection, class_means @ projection, classes, lam_eff)
 
 
+def regularization_by_class_loop(X, y, lda_lambda: float) -> float:
+    """The ridge of regularized Fisher LDA as a class loop computes it: the
+    within-class centred rows are written one class at a time into an n x p
+    array, and the ridge is ``lda_lambda * trace / p`` of their scatter (the
+    absolute ``lda_lambda`` where the trace is 0)."""
+    X, y = np.asarray(X, dtype=float), np.asarray(y)
+    centred = np.empty(X.shape)
+    for c in np.unique(y):
+        Xc = X[y == c]
+        centred[y == c] = Xc - Xc.mean(axis=0)
+    trace = float(np.vdot(centred, centred))
+    return lda_lambda * trace / X.shape[1] if trace > 0 else float(lda_lambda)
+
+
 def lda_extended_precision(X, y, lda_lambda: float) -> np.ndarray:
     """The projection of regularized Fisher LDA in ``np.longdouble``, through
     the n x n Gram matrix ``G = C C^T`` of the centred rows C = X - mu: the

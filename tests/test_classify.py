@@ -11,8 +11,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import lda_explicit_q, lda_extended_precision, lda_primal
-from scdt.classify import FeatureMatrix, _apply_q, featurize, fit_lda, run_experiment
+from conftest import gen_configs
+from oracles import (
+    lda_explicit_q,
+    lda_extended_precision,
+    lda_primal,
+    regularization_by_class_loop,
+)
+from scdt.classify import (
+    FEATURE_KINDS,
+    FeatureMatrix,
+    _apply_q,
+    featurize,
+    fit_lda,
+    run_experiment,
+)
 from scdt.errors import ScdtError
 from scdt.genmodel import GenConfig, generate_dataset
 from scdt.measures import GridDensity, measure_from_density
@@ -112,15 +125,48 @@ class TestFeaturize:
 
     def test_mixed_grids_rejected(self):
         signals = [(0, spike_density(0)), (1, spike_density(0, n_bins=8))]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="all signals must share one grid"):
             featurize(signals, "raw_signal", TransformConfig(n_quantiles=4))
 
     def test_empty_and_bad_kind_rejected(self):
         cfg = TransformConfig(n_quantiles=4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no signals to featurize"):
             featurize([], "raw_signal", cfg)
         with pytest.raises(ValueError):
             featurize([(0, spike_density(0))], "pca", cfg)
+
+    def test_fractional_label_rejected(self):
+        # np.array([0.5], dtype=int) would have made it label 0.
+        with pytest.raises(ValueError, match="labels must be integers"):
+            featurize([(0.5, spike_density(0))], "raw_signal", TransformConfig(n_quantiles=4))
+
+    @given(gen_configs())
+    def test_view_and_its_pairs_give_the_same_features(self, gen):
+        view = generate_dataset(gen)
+        for kind in FEATURE_KINDS:
+            got = featurize(view, kind, TransformConfig(n_quantiles=16))
+            want = featurize(list(view), kind, TransformConfig(n_quantiles=16))
+            for a, b in ((got.rows, want.rows), (got.labels, want.labels)):
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+                assert not a.flags.writeable
+            assert got.labels.tobytes() == view.labels.tobytes()
+            if kind == "raw_signal":
+                assert got.rows.tobytes() == view.samples.tobytes()
+
+    @given(gen_configs(), st.sampled_from(FEATURE_KINDS), st.data())
+    def test_subset_is_the_public_constructor_on_the_rows(self, gen, kind, data):
+        features = featurize(generate_dataset(gen), kind, TransformConfig(n_quantiles=8))
+        n = features.labels.size
+        index = np.array(data.draw(st.one_of(
+            st.lists(st.booleans(), min_size=n, max_size=n),
+            st.lists(st.integers(min_value=-n, max_value=n - 1), max_size=2 * n).map(
+                lambda ids: np.array(ids, dtype=int)))))
+        got = features.subset(index)
+        want = FeatureMatrix(features.rows[index], features.labels[index], kind)
+        assert got.feature_kind == want.feature_kind == kind
+        for a, b in ((got.rows, want.rows), (got.labels, want.labels)):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert not a.flags.writeable
 
 
 def per_signal_rows(signals, cfg: TransformConfig) -> np.ndarray:
@@ -402,6 +448,24 @@ def experiment_split(seed: int, kind: str):
     features = featurize(generate_dataset(GenConfig(seed=seed)), kind, TransformConfig())
     even = np.arange(features.labels.size) % 2 == 0
     return features.subset(even), features.subset(~even)
+
+
+class TestRegularization:
+    """The ridge of the fit, whose centred rows are formed in one step, is the
+    class loop's of the oracle bit for bit."""
+
+    @given(lda_problems(), st.sampled_from([1e-6, 0.3]))
+    def test_matches_the_class_loop(self, problem, lda_lambda):
+        rows, y = problem
+        model = fit_lda(FeatureMatrix(rows, y, "raw_signal"), lda_lambda)
+        assert model.regularization == regularization_by_class_loop(rows, y, lda_lambda)
+
+    @pytest.mark.parametrize("kind", FEATURE_KINDS)
+    @pytest.mark.parametrize("seed", [0, 97])
+    def test_benchmark_datasets(self, seed, kind):
+        train, _ = experiment_split(seed, kind)
+        want = regularization_by_class_loop(train.rows, train.labels, 1e-6)
+        assert fit_lda(train).regularization == want
 
 
 class TestFitLdaAgainstPrimal:

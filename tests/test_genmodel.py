@@ -15,7 +15,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import scdt
-from conftest import signed_measures
+from conftest import MERGING_GEN, gen_configs, signed_measures
 from scdt.genmodel import (
     CARRIER_PERIOD,
     TEMPLATES,
@@ -23,6 +23,7 @@ from scdt.genmodel import (
     WINDOW_HALF_WIDTH,
     GenConfig,
     IncreasingReparam,
+    LabeledSignals,
     apply_reparam,
     convexity_probe,
     generate_dataset,
@@ -113,6 +114,50 @@ class TestIncreasingReparam:
     def test_call_is_forward(self):
         g = IncreasingReparam.affine(2.0, 1.0)
         assert g(3.0) == g.forward(3.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "g, direction, point",
+        [
+            (IncreasingReparam.affine(2.0, 0.0), "forward", 1e308),
+            (IncreasingReparam.dilation(0.5), "forward", 1e308),
+            (IncreasingReparam.affine(0.5, 0.0), "inverse", -1e308),
+            (IncreasingReparam.dilation(2.0), "inverse", 1e308),
+        ],
+        ids=["affine-forward", "dilation-forward", "affine-inverse", "dilation-inverse"],
+    )
+    def test_image_beyond_float64_raises_value_error(self, g, direction, point):
+        # As a piecewise-linear warp does, with no overflow RuntimeWarning first.
+        for x in (point, np.array([0.0, point])):
+            with pytest.raises(ValueError, match="overflows float64"):
+                getattr(g, direction)(x)
+
+    @pytest.mark.filterwarnings("error")
+    @given(
+        st.floats(min_value=5e-324, max_value=1e308),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.lists(st.floats(allow_nan=False), max_size=12),
+    )
+    def test_closed_forms_keep_every_representable_bit(self, a, b, xs):
+        x = np.array(xs + [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf])
+        dilation, affine = IncreasingReparam.dilation(a), IncreasingReparam.affine(a, b)
+        for fn, closed in ((dilation.forward, lambda x: x / a), (dilation.inverse, lambda y: a * y),
+                           (affine.forward, lambda x: a * x + b),
+                           (affine.inverse, lambda y: (y - b) / a)):
+            with np.errstate(all="ignore"):
+                want = closed(x)
+            # Where the closed form overflows on a finite point, the point itself
+            # may still be finite (b offsets the product); else the call raises.
+            beyond = ~np.isfinite(want) & np.isfinite(x)
+            try:
+                got = fn(x)
+            except ValueError as exc:
+                assert "overflows float64" in str(exc) and np.any(beyond)
+                continue
+            assert got[~beyond].tobytes() == want[~beyond].tobytes()
+            assert np.all(np.isfinite(got[beyond]))
+            for xi, gi in zip(x, got):
+                assert np.float64(fn(float(xi))).tobytes() == gi.tobytes()
 
 
 class TestApplyReparam:
@@ -287,6 +332,9 @@ class TestGenConfig:
             GenConfig(a_range=(0.0, 1.0))
         with pytest.raises(ValueError):
             GenConfig(a_range=(2.0, 1.0))
+        # Finite ends whose distance overflows float64 leave no width to draw from.
+        with pytest.raises(ValueError, match="of finite width"):
+            GenConfig(b_range=(-1e308, 1e308))
         with pytest.raises(ValueError):
             GenConfig(noise_sigma=-0.1)
         with pytest.raises(ValueError):
@@ -362,14 +410,20 @@ class TestGenerateDataset:
         with pytest.raises(SingularityError):
             generate_dataset(COLLAPSING)
 
+    @pytest.mark.filterwarnings("error")
+    def test_warped_atoms_beyond_float64_raise_the_off_grid_error(self):
+        # (location - b) / 1e-310 leaves float64 for every atom of every template.
+        with pytest.raises(
+            RangeError, match=re.escape("atoms outside the grid [-0.5, 5.0] cannot be rebinned")
+        ):
+            generate_dataset(GenConfig(a_range=(1e-310, 1e-310), per_class=1))
+
     @pytest.mark.parametrize(
         "cfg",
         [
             GenConfig(per_class=(5, 4, 3), n_grid=64, seed=11),
             GenConfig(per_class=(2, 1, 2), n_grid=7, t0=-1.0, t1=6.0, noise_sigma=0.0),
-            # Warped atoms merge on every signal without touching across parts.
-            GenConfig(a_range=(4.2e13, 4.4e13), b_range=(-1.31e14, -1.29e14),
-                      per_class=(2, 2, 2), seed=3),
+            MERGING_GEN,
             GenConfig(a_range=(0.1, 0.1)),
             COLLAPSING,
         ],
@@ -386,6 +440,54 @@ class TestGenerateDataset:
         assert [label for label, _ in got] == [label for label, _ in want]
         got_rows = np.stack([d.samples for _, d in got])
         assert got_rows.tobytes() == np.stack([samples for _, samples in want]).tobytes()
+
+
+class TestLabeledSignals:
+    @given(gen_configs())
+    def test_pairs_are_read_only_rows_of_the_view(self, cfg):
+        view = generate_dataset(cfg)
+        assert isinstance(view, LabeledSignals) and len(view) == cfg.n_signals
+        assert view.samples.shape == (cfg.n_signals, cfg.n_grid)
+        assert view.labels.dtype == int
+        assert not view.labels.flags.writeable and not view.samples.flags.writeable
+        assert (view.t0, view.t1) == (cfg.t0, cfg.t1)
+        pairs = list(view)
+        assert len(pairs) == len(view)
+        for i, (label, density) in enumerate(pairs):
+            assert type(label) is int and label == view.labels[i]
+            assert (density.t0, density.t1) == (view.t0, view.t1)
+            assert not density.samples.flags.writeable
+            assert density.samples.tobytes() == view.samples[i].tobytes()
+        assert view[-1][1].samples.tobytes() == view.samples[-1].tobytes()
+        with pytest.raises(IndexError):
+            view[len(view)]
+
+    def test_arrays_are_frozen_in_place(self):
+        labels, samples = np.array([0, 1]), np.ones((2, 3))
+        view = LabeledSignals(labels, 0.0, 1.0, samples)
+        assert view.labels is labels and view.samples is samples
+        assert not samples.flags.writeable and not labels.flags.writeable
+
+    @pytest.mark.parametrize(
+        "labels, t0, t1, samples, message",
+        [
+            ([0.5, 1], 0.0, 1.0, np.ones((2, 3)), "labels must be integers"),
+            (["0", "1"], 0.0, 1.0, np.ones((2, 3)), "labels must be integers"),
+            ([0, 1], 0.0, 1.0, np.array([[1.0, np.nan], [0.0, 0.0]]), "must be finite"),
+            ([0, 1], 0.0, 1.0, np.array([[1.0, 0.0], [np.inf, 0.0]]), "must be finite"),
+            ([0, 1, 2], 0.0, 1.0, np.ones((2, 3)), "one label per row"),
+            ([0], 0.0, 1.0, np.ones((2, 3)), "one label per row"),
+            ([0, 1], 0.0, 1.0, np.ones(2), "one label per row"),
+            ([0, 1], 0.0, 1.0, np.ones((2, 0)), "at least one bin"),
+            ([0, 1], 1.0, 0.0, np.ones((2, 3)), "need finite t0 < t1"),
+            ([0, 1], -1e308, 1e308, np.ones((2, 3)), "overflows float64"),
+        ],
+        ids=["fractional-label", "text-label", "nan-sample", "inf-sample", "more-labels",
+             "fewer-labels", "1-d-samples", "no-bins", "reversed-grid", "span-overflow"],
+    )
+    def test_constructor_refuses(self, labels, t0, t1, samples, message):
+        with pytest.raises(ValueError, match=message):
+            LabeledSignals(labels, t0, t1, samples)
 
 
 class TestConvexityProbe:
