@@ -8,7 +8,8 @@ Each checkout's ``src`` is imported in its own interpreter, which dumps:
   the held-out predicted labels in both feature spaces under
   ``experiment/<seed>``, and the 2-D projections under
   ``experiment/<seed>/projections``, so a change that moves only the last
-  bits of the projections shows as exactly those keys;
+  bits of the projections shows as exactly those keys, and a run whose one
+  signal of class 2 falls in the held-out half (``experiment/untrained-class``);
 - ``generate_dataset`` labels and samples on the same seeds, read from its
   ``(label, GridDensity)`` pairs (``dataset/<seed>``) and from the arrays of
   the view it returns (``dataset/<seed>/view``: labels, ``t0``, ``t1`` and
@@ -101,7 +102,11 @@ Each checkout's ``src`` is imported in its own interpreter, which dumps:
   ``GridDensity``, ``rebin``, ``scdt inverse --grid=-1e308,1e308,4`` (exit
   code, message and written ``t`` column) and ``scdt generate`` with that
   ``t0, t1``, and a ``DiscreteMeasure`` whose total mass overflows
-  (``measure/total-overflow``), each with warnings raised as errors.
+  (``measure/total-overflow``), each with warnings raised as errors;
+- the stored state of one object of each validated constructor and of each
+  result the library stores past ``__post_init__`` (``objects/<site>/state``):
+  the sorted ``vars()`` keys with their values, each array with its
+  ``flags.writeable``, and caches such as ``_csum`` and ``_memo`` included.
 
 Arrays are compared by their bytes, so -0.0 against 0.0 counts as a
 difference; for a differing key of float arrays the largest
@@ -118,6 +123,7 @@ output differs.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -466,6 +472,53 @@ def _blobs(scdt, n_per_class, n_constant):
     return scdt.classify.FeatureMatrix(rows, labels, "raw_signal"), rows + 0.5
 
 
+def _state(obj):
+    """Sorted ``vars()`` of a library object: each value, with an array as
+    ``(array, flags.writeable)`` and a dataclass as its own state."""
+    def value(v):
+        if isinstance(v, np.ndarray):
+            return v, v.flags.writeable
+        if dataclasses.is_dataclass(v):
+            return _state(v)
+        return tuple(map(value, v)) if isinstance(v, tuple) else v
+    return [(k, value(v)) for k, v in sorted(vars(obj).items())]
+
+
+def _objects_outputs(scdt):
+    """``objects/<site>/state``: the stored state of an object of each
+    validated constructor and of each result stored past ``__post_init__``."""
+    d = scdt.GridDensity(-1.0, 2.0, np.array([1.0, -2.0, 0.0, 3.0, -0.5, 0.25]))
+    cfg = scdt.TransformConfig(scdt.ReferenceMeasure.uniform(-1.0, 2.0, 3.0), n_quantiles=8)
+    memo_part = scdt.measure_from_density(d).positive_part
+    signals = scdt.generate_dataset(scdt.GenConfig(per_class=2, n_grid=16))
+    features = scdt.featurize(signals, "scdt", cfg)
+    objects = {
+        "StepFunction": scdt.StepFunction([0.0, 1.0], np.array([-np.inf, 0.5, 1.0])),
+        "StepFunction/value-at-inf": scdt.StepFunction(np.array([0.0]), [0, 1], np.inf),
+        "PiecewiseLinearMap": scdt.PiecewiseLinearMap(np.array([0.0, 1.0, 3.0]), [0, 0, 2]),
+        "DiscreteMeasure": scdt.DiscreteMeasure(np.array([0.0, 1.0]), np.array([2.0, 3.0])),
+        "DiscreteMeasure/total": scdt.DiscreteMeasure([0, 1], np.array([2, 3]), 5),
+        "GridDensity": scdt.GridDensity(0, 1, [1, -1]),
+        "ReferenceMeasure": scdt.ReferenceMeasure(np.array([-1.0, 0.5, 2.0]), [0, 0.3, 2.5]),
+        "TransformConfig": cfg,
+        "CdtResult": scdt.CdtResult(np.array([0.0, 1.0]), 2),
+        "FeatureMatrix": scdt.FeatureMatrix(np.zeros((2, 3)), [0.0, 1.0], "raw_signal"),
+        "LabeledSignals": scdt.genmodel.LabeledSignals([0, 1], 0, 1, [[1.0, 2.0], [3, 4]]),
+        "GenConfig": scdt.GenConfig(n_grid=16.0, per_class=2, seed=np.int64(3)),
+        "generate_dataset": signals,
+        "measure_from_density": scdt.measure_from_density(d),
+        "pushforward": scdt.pushforward(np.array([0.0, 0.0, 1.0]), 2.0),
+        "cdt_positive": scdt.cdt_positive(memo_part, cfg),
+        "cdt_positive/measure": memo_part,
+        "scdt_inverse": scdt.scdt_inverse(scdt.scdt_forward(scdt.measure_from_density(d), cfg),
+                                          cfg),
+        "featurize/raw_signal": scdt.featurize(signals, "raw_signal", cfg),
+        "featurize/scdt": features,
+        "subset": features.subset(np.array([True, False, True, False, True, False])),
+    }
+    return {f"objects/{site}/state": _state(obj) for site, obj in objects.items()}
+
+
 def dump():
     import scdt
     import scdt.fileio
@@ -486,6 +539,8 @@ def dump():
             rep.confusion_signal, rep.confusion_scdt, *predicted,
         )
         out[f"experiment/{seed}/projections"] = (rep.projections_signal, rep.projections_scdt)
+    out["experiment/untrained-class"] = _try(lambda: scdt.classify.run_experiment(
+        scdt.GenConfig(per_class=(3, 4, 1), n_grid=32), scdt.TransformConfig(n_quantiles=16)))
 
     gen = scdt.GenConfig()
     grid = scdt.GridDensity(gen.t0, gen.t1, np.zeros(gen.n_grid)).bin_centers()
@@ -661,6 +716,7 @@ def dump():
     out["reparam/pwl/subnormal"] = _checked(subnormal_warp)
 
     out.update(_steps_outputs(scdt))
+    out.update(_objects_outputs(scdt))
 
     fits = {"n-above-p": _blobs(scdt, 50, 0), "low-rank-rows": _blobs(scdt, 20, 200)}
     signals = scdt.generate_dataset(scdt.GenConfig(seed=0))

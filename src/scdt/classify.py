@@ -15,6 +15,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .genmodel import GenConfig, LabeledSignals, _integer_labels, generate_dataset
+from .steps import _frozen
 from .transform import TransformConfig, scdt_forward_batch
 
 __all__ = [
@@ -53,22 +54,11 @@ class FeatureMatrix:
             raise ValueError("feature vectors must be finite")
         if self.feature_kind not in FEATURE_KINDS:
             raise ValueError(f"feature_kind must be one of {FEATURE_KINDS}")
-        rows.setflags(write=False)
-        labels.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "labels", labels)
-
-    @classmethod
-    def _trusted(cls, rows: np.ndarray, labels: np.ndarray, feature_kind: str):
-        """A matrix of arrays the library built and checked; no ``__post_init__``."""
-        rows.setflags(write=False)
-        labels.setflags(write=False)
-        m = object.__new__(cls)
-        m.__dict__.update(rows=rows, labels=labels, feature_kind=feature_kind)
-        return m
+        _frozen(self, rows=rows, labels=labels)
 
     def subset(self, index: np.ndarray) -> "FeatureMatrix":
-        return FeatureMatrix._trusted(self.rows[index], self.labels[index], self.feature_kind)
+        return _frozen(object.__new__(FeatureMatrix), rows=self.rows[index],
+                       labels=self.labels[index], feature_kind=self.feature_kind)
 
 
 def featurize(
@@ -92,7 +82,8 @@ def featurize(
     rows = signals.samples
     if kind == "scdt":
         rows = scdt_forward_batch(rows, signals.t0, signals.t1, cfg)
-    return FeatureMatrix._trusted(rows, signals.labels, kind)
+    return _frozen(object.__new__(FeatureMatrix), rows=rows, labels=signals.labels,
+                   feature_kind=kind)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,6 +96,9 @@ class LdaModel:
     class_means_projected: np.ndarray
     classes: np.ndarray
     regularization: float
+
+    def __post_init__(self) -> None:
+        _frozen(self, **vars(self))
 
     def transform(self, rows: np.ndarray) -> np.ndarray:
         return np.asarray(rows, dtype=float) @ self.projection
@@ -246,6 +240,10 @@ def run_experiment(
     signals = generate_dataset(gen)
     index = np.arange(len(signals))
     train_idx, test_idx = index % 2 == 0, index % 2 == 1
+    untrained = set(signals.labels.tolist()) - set(signals.labels[train_idx].tolist())
+    if untrained:  # a set, not np.setdiff1d, which imports numpy.ma (2 MB) on first use
+        raise ValueError(f"class {min(untrained)} has no training signal: the split trains "
+                         "on the even-indexed signals only")
     results = {}
     for kind in FEATURE_KINDS:
         features = featurize(signals, kind, cfg)

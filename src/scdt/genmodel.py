@@ -24,7 +24,7 @@ from .measures import (
     rebin,
 )
 from .errors import RangeError, ScdtError
-from .steps import ArrayLike, PiecewiseLinearMap, _along, _like
+from .steps import ArrayLike, PiecewiseLinearMap, _along, _frozen, _like
 from .transform import CdtResult, ScdtResult, TransformConfig, scdt_forward
 
 __all__ = [
@@ -201,9 +201,9 @@ class GenConfig:
     def __post_init__(self) -> None:
         if not (np.isfinite(self.t0) and np.isfinite(self.t1) and self.t0 < self.t1):
             raise ValueError("need finite t0 < t1")
-        if int(self.n_grid) < 1:
+        n_grid = int(self.n_grid)
+        if n_grid < 1:
             raise ValueError("n_grid must be at least 1")
-        object.__setattr__(self, "n_grid", int(self.n_grid))
         for name, (lo, hi) in (("a_range", self.a_range), ("b_range", self.b_range)):
             if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi and np.isfinite(hi - lo)):
                 raise ValueError(f"{name} must be a finite nonempty interval of finite width")
@@ -220,8 +220,7 @@ class GenConfig:
             raise ValueError(f"per_class must give one count per class ({len(TEMPLATES)})")
         if any(c < 1 for c in counts):
             raise ValueError("per_class counts must be positive")
-        object.__setattr__(self, "per_class", counts)
-        object.__setattr__(self, "seed", int(self.seed))
+        _frozen(self, n_grid=n_grid, per_class=counts, seed=int(self.seed))
 
     @property
     def n_signals(self) -> int:
@@ -254,9 +253,7 @@ class LabeledSignals:
         if samples.ndim != 2 or labels.ndim != 1 or labels.size != samples.shape[0]:
             raise ValueError("samples must be (n_signals, n_bins) with one label per row")
         grid = GridDensity(self.t0, self.t1, samples.reshape(-1))  # its grid and sample checks
-        labels.setflags(write=False)
-        samples.setflags(write=False)
-        self.__dict__.update(labels=labels, t0=grid.t0, t1=grid.t1, samples=samples)
+        _frozen(self, labels=labels, t0=grid.t0, t1=grid.t1, samples=samples)
 
     def __len__(self) -> int:
         return self.labels.size

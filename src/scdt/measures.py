@@ -14,7 +14,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .errors import InvalidReferenceError, RangeError, SingularityError
-from .steps import ArrayLike, PiecewiseLinearMap, StepFunction, _geninv_search, _steps
+from .steps import ArrayLike, PiecewiseLinearMap, StepFunction, _frozen, _geninv_search, _steps
 
 __all__ = [
     "DiscreteMeasure",
@@ -57,18 +57,7 @@ class DiscreteMeasure:
         if np.any(w <= 0) or np.any(~np.isfinite(w)):
             raise ValueError("atom weights must be finite and positive")
         total = _checked_total(self.total_mass, w)
-        locs.setflags(write=False)
-        w.setflags(write=False)
-        self.__dict__.update(locations=locs, weights=w, total_mass=total)
-
-    @classmethod
-    def _trusted(cls, locations: np.ndarray, weights: np.ndarray, total_mass: float):
-        """A measure of arrays the library built and checked; no ``__post_init__``."""
-        locations.setflags(write=False)
-        weights.setflags(write=False)
-        m = object.__new__(cls)
-        m.__dict__.update(locations=locations, weights=weights, total_mass=total_mass)
-        return m
+        _frozen(self, locations=locs, weights=w, total_mass=total)
 
     def __getstate__(self) -> dict:
         # Neither cdt_positive's memo nor measure_from_density's running sum is a field.
@@ -124,13 +113,6 @@ class SignedMeasure:
         _support_gap(self.positive_part.locations, self.negative_part.locations)
 
     @classmethod
-    def _trusted(cls, positive_part: DiscreteMeasure, negative_part: DiscreteMeasure):
-        """A signed measure of parts already checked disjoint."""
-        s = object.__new__(cls)
-        s.__dict__.update(positive_part=positive_part, negative_part=negative_part)
-        return s
-
-    @classmethod
     def zero(cls) -> "SignedMeasure":
         return cls(DiscreteMeasure.zero(), DiscreteMeasure.zero())
 
@@ -159,10 +141,7 @@ class GridDensity:
             raise ValueError("samples must be a 1-D array with at least one bin")
         if not np.all(np.isfinite(samples)):
             raise ValueError("density samples must be finite")
-        samples.setflags(write=False)
-        object.__setattr__(self, "t0", t0)
-        object.__setattr__(self, "t1", t1)
-        object.__setattr__(self, "samples", samples)
+        _frozen(self, t0=t0, t1=t1, samples=samples)
 
     @property
     def n_bins(self) -> int:
@@ -199,9 +178,7 @@ class ReferenceMeasure:
             )
         if cdf.ys[0] != 0:
             raise InvalidReferenceError("reference CDF must start at 0")
-        object.__setattr__(self, "xs", cdf.xs)
-        object.__setattr__(self, "ys", cdf.ys)
-        object.__setattr__(self, "_cdf", cdf)
+        _frozen(self, xs=cdf.xs, ys=cdf.ys, _cdf=cdf)
 
     @classmethod
     def uniform(cls, a: float = 0.0, b: float = 1.0, mass: float = 1.0) -> "ReferenceMeasure":
@@ -267,7 +244,8 @@ def measure_from_density(d: GridDensity) -> SignedMeasure:
         with np.errstate(over="ignore"):
             w *= width
             csum = _running_sum(w)
-        parts.append(DiscreteMeasure._trusted(centres, w, float(csum[-1])))
+        parts.append(_frozen(object.__new__(DiscreteMeasure), locations=centres, weights=w,
+                             total_mass=float(csum[-1])))
         if w.size:  # for the first measure_quantiles call on the part
             parts[-1].__dict__["_csum"] = csum
     for failed, cause in (
@@ -280,7 +258,7 @@ def measure_from_density(d: GridDensity) -> SignedMeasure:
     ):
         if failed:
             raise RangeError(f"cannot bin the density: {cause}")
-    return SignedMeasure._trusted(*parts)
+    return _frozen(object.__new__(SignedMeasure), positive_part=parts[0], negative_part=parts[1])
 
 
 def pushforward(samples: ArrayLike, mass: float) -> DiscreteMeasure:
@@ -305,7 +283,8 @@ def pushforward(samples: ArrayLike, mass: float) -> DiscreteMeasure:
                           (not np.all(np.isfinite(weights)), "times a count overflows")):
         if failed:
             raise RangeError(f"cannot push mass {mass} onto {arr.size} samples: mass / M {cause}")
-    return DiscreteMeasure._trusted(arr[starts], weights, _checked_total(mass, weights))
+    return _frozen(object.__new__(DiscreteMeasure), locations=arr[starts], weights=weights,
+                   total_mass=_checked_total(mass, weights))
 
 
 def _checked_total(total_mass: Optional[float], w: np.ndarray) -> float:

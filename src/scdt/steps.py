@@ -42,6 +42,18 @@ def _like(x: ArrayLike, out: np.ndarray) -> Union[float, np.ndarray]:
     return float(out) if np.ndim(x) == 0 else out
 
 
+def _frozen(obj, **fields):
+    """Store ``fields`` on the frozen dataclass ``obj`` past its ``__setattr__``,
+    each ndarray made read-only in place, not copied; returns ``obj``.  Results
+    the library checked by construction pass ``object.__new__(cls)``, which
+    skips ``__post_init__``."""
+    for value in fields.values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def _geninv_search(values: np.ndarray, breakpoints: np.ndarray, y: ArrayLike) -> np.ndarray:
     """``inf{x : F(x) > y}`` for the non-decreasing step function taking
     ``values[0]`` left of ``breakpoints[0]`` and ``values[i]`` from
@@ -110,11 +122,7 @@ class StepFunction:
             raise ValueError("monotone step function must have non-decreasing values")
         if vapi < vals[-1]:
             raise ValueError("value_at_pos_inf must not fall below the final value")
-        bp.setflags(write=False)
-        vals.setflags(write=False)
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "value_at_pos_inf", vapi)
+        _frozen(self, breakpoints=bp, values=vals, value_at_pos_inf=vapi)
 
     def eval(self, x: ArrayLike) -> Union[float, np.ndarray]:
         """Evaluate at ``x`` (scalar or array; ``+-inf`` allowed)."""
@@ -181,12 +189,7 @@ class PiecewiseLinearMap:
         # A flat segment has slope 0; a rising one only when its slope underflows.
         if np.count_nonzero(slopes) != np.count_nonzero(dy):
             raise ValueError("the slope of a rising segment underflows to 0")
-        xs.setflags(write=False)
-        ys.setflags(write=False)
-        slopes.setflags(write=False)
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
-        object.__setattr__(self, "slopes", slopes)
+        _frozen(self, xs=xs, ys=ys, slopes=slopes)
 
     def __call__(self, x: ArrayLike) -> Union[float, np.ndarray]:
         xa = _as_float_array(x, "x")

@@ -26,6 +26,7 @@ from .measures import (
     measure_quantiles,
     pushforward,
 )
+from .steps import _frozen
 
 __all__ = [
     "TransformConfig",
@@ -71,9 +72,7 @@ class TransformConfig:
         if m < 2:
             raise ValueError("n_quantiles must be at least 2")
         q = (np.arange(m) + 0.5) / m
-        q.setflags(write=False)
-        object.__setattr__(self, "n_quantiles", m)
-        object.__setattr__(self, "quantiles", q)
+        _frozen(self, n_quantiles=m, quantiles=q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,17 +100,7 @@ class CdtResult:
             raise ValueError("mass must be finite and nonnegative")
         if mass == 0 and np.any(samples != 0):
             raise ValueError("the zero measure is encoded as all-zero samples with mass 0")
-        samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "mass", mass)
-
-    @classmethod
-    def _trusted(cls, samples: np.ndarray, mass: float) -> "CdtResult":
-        """A result of samples sorted by construction; no ``__post_init__``."""
-        samples.setflags(write=False)
-        c = object.__new__(cls)
-        c.__dict__.update(samples=samples, mass=float(mass))
-        return c
+        _frozen(self, samples=samples, mass=mass)
 
     @property
     def is_zero(self) -> bool:
@@ -159,7 +148,8 @@ def cdt_positive(nu: DiscreteMeasure, cfg: TransformConfig) -> CdtResult:
     memo = nu.__dict__.get("_memo")
     if memo is None or memo[0] != cfg.n_quantiles:
         samples = measure_quantiles(nu, cfg.quantiles)
-        memo = (cfg.n_quantiles, CdtResult._trusted(samples, nu.total_mass))
+        memo = (cfg.n_quantiles,
+                _frozen(object.__new__(CdtResult), samples=samples, mass=nu.total_mass))
         nu.__dict__["_memo"] = memo
     return memo[1]
 
@@ -272,7 +262,7 @@ def scdt_inverse(t: ScdtResult, cfg: TransformConfig) -> SignedMeasure:
     """
     plus, minus = cdt_inverse(t.plus, cfg), cdt_inverse(t.minus, cfg)
     gap = _support_gap(plus.locations, minus.locations)
-    s = SignedMeasure._trusted(plus, minus)
+    s = _frozen(object.__new__(SignedMeasure), positive_part=plus, negative_part=minus)
     if gap < COLLISION_WARN_GAP:
         warnings.warn(
             f"positive and negative supports are only {gap:.3g} apart; "

@@ -322,6 +322,11 @@ class TestFitLda:
         model = fit_lda(train)
         assert np.mean(model.predict(test.rows) == test.labels) == 1.0
 
+    def test_arrays_are_frozen(self):
+        model = fit_lda(self.separated_blobs(np.random.default_rng(0)))
+        for arr in (model.projection, model.class_means_projected, model.classes):
+            assert not arr.flags.writeable
+
     def test_needs_two_classes_and_two_per_class(self):
         with pytest.raises(ValueError):
             fit_lda(FeatureMatrix(np.zeros((4, 2)), np.zeros(4, dtype=int), "scdt"))
@@ -566,6 +571,12 @@ class TestRunExperiment:
         assert a.accuracy_scdt_space == b.accuracy_scdt_space
         assert np.array_equal(a.projections_scdt, b.projections_scdt)
         assert np.array_equal(a.confusion_signal, b.confusion_signal)
+
+    def test_class_without_training_signal_raises_value_error(self):
+        # Class 2 has one signal, index 7: it falls in the held-out half only.
+        with pytest.raises(ValueError, match="class 2 has no training signal"):
+            run_experiment(GenConfig(per_class=(3, 4, 1), n_grid=32),
+                           TransformConfig(n_quantiles=16))
 
     def test_seed_argument_overrides_config(self):
         cfg = TransformConfig(n_quantiles=32)

@@ -389,6 +389,17 @@ class TestClassifyDemo:
         assert code == 2
         assert "lda_lambda must be finite and positive" in capsys.readouterr().err
 
+    def test_class_without_training_signal_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("SCDT_SEED", raising=False)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"per_class": [3, 4, 1], "n_grid": 32, "n_quantiles": 16}))
+        code = main(["classify-demo", "--config", str(cfg), "--report",
+                     str(tmp_path / "report.json"), "--plots", str(tmp_path / "plots.csv")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "error: class 2 has no training signal" in captured.err
+        assert captured.out == "" and not (tmp_path / "report.json").exists()
+
 
 class TestUsage:
     def test_unknown_command_exits_2(self):

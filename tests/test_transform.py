@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import discrete_measures, probability_measures, signed_measures
 from oracles import quantile_scan, scdt_inverse_by_unique
+from scdt.classify import featurize
 from scdt.errors import RangeError, ScdtError, SingularityError, SingularityWarning
 from scdt.measures import (
     DiscreteMeasure,
@@ -21,6 +22,7 @@ from scdt.measures import (
     ReferenceMeasure,
     SignedMeasure,
     measure_from_density,
+    pushforward,
     rebin,
 )
 from scdt.steps import POS_INF
@@ -504,3 +506,44 @@ class TestTransformMemo:
         assert copy.locations.tobytes() == plus.locations.tobytes()
         assert copy.total_mass == plus.total_mass
         assert pickle.dumps(copy) == pickle.dumps(plus)
+
+
+def _trusted_outputs():
+    """Every result the library stores past ``__post_init__``, by name."""
+    d = GridDensity(-1.0, 2.0, np.array([1.0, -2.0, 0.0, 3.0, -0.5, 0.25]))
+    cfg = TransformConfig(n_quantiles=8)
+
+    def back():
+        return scdt_inverse(scdt_forward(measure_from_density(d), cfg), cfg)
+
+    def features():
+        return featurize([(0, d), (1, d), (1, d)], "scdt", cfg)
+
+    return {
+        "measure_from_density/positive": lambda: measure_from_density(d).positive_part,
+        "measure_from_density/negative": lambda: measure_from_density(d).negative_part,
+        "measure_from_density/signed": lambda: measure_from_density(d),
+        "pushforward": lambda: pushforward(np.array([0.0, 0.0, 1.0]), 2.0),
+        "scdt_inverse/positive": lambda: back().positive_part,
+        "scdt_inverse/negative": lambda: back().negative_part,
+        "scdt_inverse/signed": back,
+        "cdt_positive": lambda: cdt_positive(measure_from_density(d).positive_part, cfg),
+        "featurize": features,
+        "subset": lambda: features().subset(np.array([True, False, True])),
+    }
+
+
+TRUSTED_OUTPUTS = _trusted_outputs()
+
+
+@pytest.mark.parametrize("make", TRUSTED_OUTPUTS.values(), ids=TRUSTED_OUTPUTS.keys())
+def test_trusted_output_is_a_complete_frozen_dataclass(make):
+    # Stored without __post_init__, so a misspelled or missing field shows only here.
+    obj = make()
+    names = {f.name for f in dataclasses.fields(obj)}
+    assert set(vars(obj)) - {"_memo", "_csum"} == names
+    for name in names:
+        value = getattr(obj, name)
+        assert not isinstance(value, np.ndarray) or not value.flags.writeable
+    assert repr(dataclasses.replace(obj)) == repr(obj)
+    assert repr(pickle.loads(pickle.dumps(obj))) == repr(obj)
