@@ -103,10 +103,14 @@ Each checkout's ``src`` is imported in its own interpreter, which dumps:
   code, message and written ``t`` column) and ``scdt generate`` with that
   ``t0, t1``, and a ``DiscreteMeasure`` whose total mass overflows
   (``measure/total-overflow``), each with warnings raised as errors;
-- the stored state of one object of each validated constructor and of each
-  result the library stores past ``__post_init__`` (``objects/<site>/state``):
-  the sorted ``vars()`` keys with their values, each array with its
-  ``flags.writeable``, and caches such as ``_csum`` and ``_memo`` included.
+- the stored state of one object of each validated constructor, of each
+  result the library stores past ``__post_init__``, of ``fit_lda``'s
+  ``LdaModel``, ``run_experiment``'s ``ExperimentReport``, ``d_s``'s
+  ``DistanceReport`` and the CLI's ``ExperimentConfig``
+  (``objects/<site>/state``): the sorted ``vars()`` keys with their values,
+  each array with its ``flags.writeable``, and caches such as ``_csum`` and
+  ``_memo`` included; and the same state of the object after a pickle round
+  trip and after ``copy.deepcopy`` (``objects/<site>/copies``).
 
 Arrays are compared by their bytes, so -0.0 against 0.0 counts as a
 difference; for a differing key of float arrays the largest
@@ -123,6 +127,7 @@ output differs.
 from __future__ import annotations
 
 import contextlib
+import copy
 import dataclasses
 import io
 import json
@@ -486,12 +491,17 @@ def _state(obj):
 
 def _objects_outputs(scdt):
     """``objects/<site>/state``: the stored state of an object of each
-    validated constructor and of each result stored past ``__post_init__``."""
+    validated constructor, of each result stored past ``__post_init__`` and
+    of each result dataclass; ``objects/<site>/copies``: that state after a
+    pickle round trip and after ``copy.deepcopy``."""
+    from scdt.cli import ExperimentConfig
+
     d = scdt.GridDensity(-1.0, 2.0, np.array([1.0, -2.0, 0.0, 3.0, -0.5, 0.25]))
     cfg = scdt.TransformConfig(scdt.ReferenceMeasure.uniform(-1.0, 2.0, 3.0), n_quantiles=8)
     memo_part = scdt.measure_from_density(d).positive_part
     signals = scdt.generate_dataset(scdt.GenConfig(per_class=2, n_grid=16))
     features = scdt.featurize(signals, "scdt", cfg)
+    gen = scdt.GenConfig(per_class=4, n_grid=32)
     objects = {
         "StepFunction": scdt.StepFunction([0.0, 1.0], np.array([-np.inf, 0.5, 1.0])),
         "StepFunction/value-at-inf": scdt.StepFunction(np.array([0.0]), [0, 1], np.inf),
@@ -515,8 +525,17 @@ def _objects_outputs(scdt):
         "featurize/raw_signal": scdt.featurize(signals, "raw_signal", cfg),
         "featurize/scdt": features,
         "subset": features.subset(np.array([True, False, True, False, True, False])),
+        "LdaModel": scdt.classify.fit_lda(features),
+        "ExperimentReport": scdt.classify.run_experiment(gen, cfg),
+        "DistanceReport": scdt.d_s(scdt.measure_from_density(d), scdt.SignedMeasure.zero(), 8),
+        "ExperimentConfig": ExperimentConfig(gen, cfg, 1),
     }
-    return {f"objects/{site}/state": _state(obj) for site, obj in objects.items()}
+    out = {}
+    for site, obj in objects.items():
+        out[f"objects/{site}/state"] = _state(obj)
+        out[f"objects/{site}/copies"] = (_try(lambda: _state(pickle.loads(pickle.dumps(obj)))),
+                                         _try(lambda: _state(copy.deepcopy(obj))))
+    return out
 
 
 def dump():

@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .genmodel import GenConfig, LabeledSignals, _integer_labels, generate_dataset
-from .steps import _frozen
+from .steps import _Frozen
 from .transform import TransformConfig, scdt_forward_batch
 
 __all__ = [
@@ -38,7 +38,7 @@ DEFAULT_LDA_LAMBDA = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
-class FeatureMatrix:
+class FeatureMatrix(_Frozen):
     """One feature vector per signal, with class labels."""
 
     rows: np.ndarray
@@ -54,11 +54,11 @@ class FeatureMatrix:
             raise ValueError("feature vectors must be finite")
         if self.feature_kind not in FEATURE_KINDS:
             raise ValueError(f"feature_kind must be one of {FEATURE_KINDS}")
-        _frozen(self, rows=rows, labels=labels)
+        self._store(rows=rows, labels=labels)
 
     def subset(self, index: np.ndarray) -> "FeatureMatrix":
-        return _frozen(object.__new__(FeatureMatrix), rows=self.rows[index],
-                       labels=self.labels[index], feature_kind=self.feature_kind)
+        return object.__new__(FeatureMatrix)._store(
+            rows=self.rows[index], labels=self.labels[index], feature_kind=self.feature_kind)
 
 
 def featurize(
@@ -82,12 +82,12 @@ def featurize(
     rows = signals.samples
     if kind == "scdt":
         rows = scdt_forward_batch(rows, signals.t0, signals.t1, cfg)
-    return _frozen(object.__new__(FeatureMatrix), rows=rows, labels=signals.labels,
-                   feature_kind=kind)
+    return object.__new__(FeatureMatrix)._store(rows=rows, labels=signals.labels,
+                                                feature_kind=kind)
 
 
 @dataclass(frozen=True, eq=False)
-class LdaModel:
+class LdaModel(_Frozen):
     """Fisher discriminant directions (scatter-whitened) and the projected
     class means; classification is by the nearest projected mean, ties going
     to the lowest class id."""
@@ -96,9 +96,6 @@ class LdaModel:
     class_means_projected: np.ndarray
     classes: np.ndarray
     regularization: float
-
-    def __post_init__(self) -> None:
-        _frozen(self, **vars(self))
 
     def transform(self, rows: np.ndarray) -> np.ndarray:
         return np.asarray(rows, dtype=float) @ self.projection
@@ -176,7 +173,7 @@ def fit_lda(train: FeatureMatrix, lda_lambda: float = DEFAULT_LDA_LAMBDA) -> Lda
 
 
 @dataclass(frozen=True, eq=False)
-class ExperimentReport:
+class ExperimentReport(_Frozen):
     """Held-out accuracies, confusion matrices, and 2-D projections of the
     test split in both feature spaces."""
 

@@ -24,16 +24,12 @@ from typing import Any, Dict, List, Optional, Union
 
 from .classify import DEFAULT_LDA_LAMBDA, run_experiment
 from .errors import (
-    InvalidReferenceError,
-    MetricDomainError,
-    ParseError,
-    RangeError,
-    ScdtError,
-    SingularityError,
+    InvalidReferenceError, MetricDomainError, ParseError, RangeError, SingularityError,
 )
 from .fileio import (
     _decode_array,
     _decode_float,
+    _read_json_object,
     parse_reference,
     read_signal_csv,
     read_transform_json,
@@ -44,6 +40,7 @@ from .fileio import (
 from .genmodel import GenConfig, generate_dataset
 from .measures import ReferenceMeasure, measure_from_density, rebin
 from .metrics import d_s, d_w2, w2
+from .steps import _Frozen
 from .transform import DEFAULT_N_QUANTILES, TransformConfig, scdt_forward, scdt_inverse
 
 __all__ = ["main", "read_experiment_config", "ExperimentConfig", "seed_override_from_env"]
@@ -54,12 +51,20 @@ EXIT_REFERENCE = 3
 EXIT_SINGULARITY = 4
 EXIT_METRIC = 5
 
+#: The exit code of each error ``main`` reports: the first row that matches.
+_EXIT_CODES = (
+    (InvalidReferenceError, EXIT_REFERENCE),
+    ((SingularityError, RangeError), EXIT_SINGULARITY),
+    (MetricDomainError, EXIT_METRIC),
+    ((ValueError, OSError), EXIT_PARSE),  # every ScdtError is a ValueError
+)
+
 
 # --- experiment configuration ----------------------------------------------
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
-class ExperimentConfig:
+class ExperimentConfig(_Frozen):
     """A generation config plus the transform/classifier settings that ride
     along with it in experiment config files."""
 
@@ -68,25 +73,17 @@ class ExperimentConfig:
     lda_lambda: float = DEFAULT_LDA_LAMBDA
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lda_lambda", float(self.lda_lambda))
+        self._store(lda_lambda=float(self.lda_lambda))
 
 
-_GEN_KEYS = {"t0", "t1", "n_grid", "a_range", "b_range", "noise_sigma", "per_class", "seed"}
+_GEN_KEYS = {f.name for f in dataclasses.fields(GenConfig)}
 _EXTRA_KEYS = {"n_quantiles", "reference", "lda_lambda"}
 
 
 def read_experiment_config(path: Union[str, os.PathLike]) -> ExperimentConfig:
     """Read a JSON experiment config; every key is optional and defaults to
     the standard protocol.  Unknown keys are rejected."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ParseError(f"{path}: expected a JSON object")
+    obj = _read_json_object(path)
     unknown = set(obj) - _GEN_KEYS - _EXTRA_KEYS
     if unknown:
         raise ParseError(f"{path}: unknown keys {sorted(unknown)}")
@@ -287,18 +284,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except InvalidReferenceError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REFERENCE
-    except (SingularityError, RangeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SINGULARITY
-    except MetricDomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_METRIC
-    except (ScdtError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

@@ -61,6 +61,20 @@ def _decode_array(v: Any, what: str) -> np.ndarray:
     return np.array([_decode_float(x, what) for x in v], dtype=float)
 
 
+def _read_json_object(path: Union[str, os.PathLike]) -> Dict[str, Any]:
+    """The JSON object in the file at ``path``, else :class:`ParseError`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ParseError(f"{path}: expected a JSON object")
+    return obj
+
+
 # --- signal CSV -------------------------------------------------------------
 
 
@@ -195,15 +209,7 @@ def _part_from_dict(obj: Any, n_quantiles: int, what: str) -> CdtResult:
 def read_transform_json(
     path: Union[str, os.PathLike]
 ) -> Tuple[ScdtResult, TransformConfig]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ParseError(f"{path}: expected a JSON object")
+    obj = _read_json_object(path)
     version = obj.get("version")
     if isinstance(version, bool) or version != TRANSFORM_FILE_VERSION:
         raise ParseError(f"{path}: unsupported version {version!r}")

@@ -24,7 +24,7 @@ from .measures import (
     rebin,
 )
 from .errors import RangeError, ScdtError
-from .steps import ArrayLike, PiecewiseLinearMap, _along, _frozen, _like
+from .steps import ArrayLike, PiecewiseLinearMap, _Frozen, _along, _like
 from .transform import CdtResult, ScdtResult, TransformConfig, scdt_forward
 
 __all__ = [
@@ -41,7 +41,7 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False)
-class IncreasingReparam:
+class IncreasingReparam(_Frozen):
     """A strictly increasing surjection of the real line with an exact
     inverse, in one of three closed forms (a translation is the affine map
     of slope 1).
@@ -158,7 +158,7 @@ def _phase(t: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class ClassTemplate:
+class ClassTemplate(_Frozen):
     """A named closed-form signed signal template evaluated on a grid."""
 
     name: str
@@ -180,7 +180,7 @@ TEMPLATES: Tuple[ClassTemplate, ...] = (
 
 
 @dataclass(frozen=True, eq=False)
-class GenConfig:
+class GenConfig(_Frozen):
     """Configuration of the synthetic dataset: grid, affine-parameter ranges,
     noise level, class sizes, and seed.
 
@@ -220,7 +220,7 @@ class GenConfig:
             raise ValueError(f"per_class must give one count per class ({len(TEMPLATES)})")
         if any(c < 1 for c in counts):
             raise ValueError("per_class counts must be positive")
-        _frozen(self, n_grid=n_grid, per_class=counts, seed=int(self.seed))
+        self._store(n_grid=n_grid, per_class=counts, seed=int(self.seed))
 
     @property
     def n_signals(self) -> int:
@@ -237,7 +237,7 @@ def _integer_labels(labels) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class LabeledSignals:
+class LabeledSignals(_Frozen):
     """Labeled signals on one grid ``[t0, t1]`` as arrays: int ``labels`` and
     read-only ``samples``, one density per row.  It reads as the sequence of
     its ``(label, GridDensity)`` pairs."""
@@ -253,7 +253,7 @@ class LabeledSignals:
         if samples.ndim != 2 or labels.ndim != 1 or labels.size != samples.shape[0]:
             raise ValueError("samples must be (n_signals, n_bins) with one label per row")
         grid = GridDensity(self.t0, self.t1, samples.reshape(-1))  # its grid and sample checks
-        _frozen(self, labels=labels, t0=grid.t0, t1=grid.t1, samples=samples)
+        self._store(labels=labels, t0=grid.t0, t1=grid.t1, samples=samples)
 
     def __len__(self) -> int:
         return self.labels.size

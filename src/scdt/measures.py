@@ -14,7 +14,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .errors import InvalidReferenceError, RangeError, SingularityError
-from .steps import ArrayLike, PiecewiseLinearMap, StepFunction, _frozen, _geninv_search, _steps
+from .steps import ArrayLike, PiecewiseLinearMap, StepFunction, _Frozen, _geninv_search, _steps
 
 __all__ = [
     "DiscreteMeasure",
@@ -33,7 +33,7 @@ MASS_RTOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
-class DiscreteMeasure:
+class DiscreteMeasure(_Frozen):
     """A finite positive measure given by sorted weighted atoms.
 
     The zero measure is the empty atom list.  Atoms at ``+-inf`` are
@@ -57,11 +57,7 @@ class DiscreteMeasure:
         if np.any(w <= 0) or np.any(~np.isfinite(w)):
             raise ValueError("atom weights must be finite and positive")
         total = _checked_total(self.total_mass, w)
-        _frozen(self, locations=locs, weights=w, total_mass=total)
-
-    def __getstate__(self) -> dict:
-        # Neither cdt_positive's memo nor measure_from_density's running sum is a field.
-        return {k: v for k, v in self.__dict__.items() if k not in ("_memo", "_csum")}
+        self._store(locations=locs, weights=w, total_mass=total)
 
     @classmethod
     def from_atoms(cls, locations: ArrayLike, weights: ArrayLike) -> "DiscreteMeasure":
@@ -102,7 +98,7 @@ class DiscreteMeasure:
 
 
 @dataclass(frozen=True, eq=False)
-class SignedMeasure:
+class SignedMeasure(_Frozen):
     """A signed measure stored as its Jordan decomposition: a pair of
     mutually singular positive measures (disjoint atom supports)."""
 
@@ -123,7 +119,7 @@ class SignedMeasure:
 
 
 @dataclass(frozen=True, eq=False)
-class GridDensity:
+class GridDensity(_Frozen):
     """A signed piecewise-constant density on ``N`` equal bins of
     ``[t0, t1]``; ``samples[i]`` is the density value on bin ``i``."""
 
@@ -141,7 +137,7 @@ class GridDensity:
             raise ValueError("samples must be a 1-D array with at least one bin")
         if not np.all(np.isfinite(samples)):
             raise ValueError("density samples must be finite")
-        _frozen(self, t0=t0, t1=t1, samples=samples)
+        self._store(t0=t0, t1=t1, samples=samples)
 
     @property
     def n_bins(self) -> int:
@@ -156,7 +152,7 @@ class GridDensity:
 
 
 @dataclass(frozen=True, eq=False)
-class ReferenceMeasure:
+class ReferenceMeasure(_Frozen):
     """An atomless positive measure with a continuous piecewise-linear CDF,
     strictly increasing on its support ``[xs[0], xs[-1]]`` and constant
     outside.  ``ys`` are the CDF knot values: ``ys[0] = 0`` and
@@ -178,7 +174,7 @@ class ReferenceMeasure:
             )
         if cdf.ys[0] != 0:
             raise InvalidReferenceError("reference CDF must start at 0")
-        _frozen(self, xs=cdf.xs, ys=cdf.ys, _cdf=cdf)
+        self._store(xs=cdf.xs, ys=cdf.ys, _cdf=cdf)
 
     @classmethod
     def uniform(cls, a: float = 0.0, b: float = 1.0, mass: float = 1.0) -> "ReferenceMeasure":
@@ -244,8 +240,8 @@ def measure_from_density(d: GridDensity) -> SignedMeasure:
         with np.errstate(over="ignore"):
             w *= width
             csum = _running_sum(w)
-        parts.append(_frozen(object.__new__(DiscreteMeasure), locations=centres, weights=w,
-                             total_mass=float(csum[-1])))
+        parts.append(object.__new__(DiscreteMeasure)._store(
+            locations=centres, weights=w, total_mass=float(csum[-1])))
         if w.size:  # for the first measure_quantiles call on the part
             parts[-1].__dict__["_csum"] = csum
     for failed, cause in (
@@ -258,7 +254,7 @@ def measure_from_density(d: GridDensity) -> SignedMeasure:
     ):
         if failed:
             raise RangeError(f"cannot bin the density: {cause}")
-    return _frozen(object.__new__(SignedMeasure), positive_part=parts[0], negative_part=parts[1])
+    return object.__new__(SignedMeasure)._store(positive_part=parts[0], negative_part=parts[1])
 
 
 def pushforward(samples: ArrayLike, mass: float) -> DiscreteMeasure:
@@ -283,8 +279,8 @@ def pushforward(samples: ArrayLike, mass: float) -> DiscreteMeasure:
                           (not np.all(np.isfinite(weights)), "times a count overflows")):
         if failed:
             raise RangeError(f"cannot push mass {mass} onto {arr.size} samples: mass / M {cause}")
-    return _frozen(object.__new__(DiscreteMeasure), locations=arr[starts], weights=weights,
-                   total_mass=_checked_total(mass, weights))
+    return object.__new__(DiscreteMeasure)._store(locations=arr[starts], weights=weights,
+                                                  total_mass=_checked_total(mass, weights))
 
 
 def _checked_total(total_mass: Optional[float], w: np.ndarray) -> float:

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import MetricDomainError
 from .measures import DiscreteMeasure, SignedMeasure
+from .steps import _Frozen
 from .transform import (
     DEFAULT_N_QUANTILES, PROBABILITY_RTOL, CdtResult, ScdtResult, TransformConfig, cdt_positive,
 )
@@ -26,7 +27,7 @@ __all__ = ["DistanceReport", "w2", "d_w2", "d_s", "transform_l2"]
 
 
 @dataclass(frozen=True, eq=False)
-class DistanceReport:
+class DistanceReport(_Frozen):
     """A distance value and the components it is the Euclidean norm of."""
 
     value: float
@@ -40,7 +41,7 @@ class DistanceReport:
             norm = math.hypot(*self.components.values())
             if not math.isclose(value, norm, rel_tol=5e-10):
                 raise ValueError(f"value {value} is not the norm {norm} of the components")
-        object.__setattr__(self, "value", value)
+        self._store(value=value)
 
 
 def _require_finite_atoms(m: DiscreteMeasure, name: str) -> None:

@@ -8,7 +8,7 @@ inverses, and reparameterizations/reference CDFs are piecewise-linear maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Union
 
 import numpy as np
@@ -42,16 +42,28 @@ def _like(x: ArrayLike, out: np.ndarray) -> Union[float, np.ndarray]:
     return float(out) if np.ndim(x) == 0 else out
 
 
-def _frozen(obj, **fields):
-    """Store ``fields`` on the frozen dataclass ``obj`` past its ``__setattr__``,
-    each ndarray made read-only in place, not copied; returns ``obj``.  Results
-    the library checked by construction pass ``object.__new__(cls)``, which
-    skips ``__post_init__``."""
-    for value in fields.values():
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
-    obj.__dict__.update(fields)
-    return obj
+class _Frozen:
+    """Base of every dataclass of the package.  ``_store`` sets its fields past
+    the frozen ``__setattr__`` and makes each ndarray among them read-only in
+    place, not copied; it does so at construction, on ``object.__new__(cls)``
+    for results checked by construction, and on every pickle or copy, which
+    carry the fields alone: a cache kept on an object does not survive them."""
+
+    def _store(self, **attrs):
+        for value in attrs.values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        self.__dict__.update(attrs)
+        return self
+
+    def __post_init__(self) -> None:
+        self._store(**vars(self))
+
+    def __getstate__(self) -> dict:
+        return {f.name: self.__dict__[f.name] for f in fields(self)}
+
+    def __setstate__(self, state: dict) -> None:
+        self._store(**state)
 
 
 def _geninv_search(values: np.ndarray, breakpoints: np.ndarray, y: ArrayLike) -> np.ndarray:
@@ -76,7 +88,7 @@ def _geninv_search(values: np.ndarray, breakpoints: np.ndarray, y: ArrayLike) ->
 
 
 @dataclass(frozen=True, eq=False)
-class StepFunction:
+class StepFunction(_Frozen):
     """A right-continuous non-decreasing step function on ``[-inf, +inf]``.
 
     ``values[0]`` is taken on ``[-inf, breakpoints[0])``, ``values[i]`` on
@@ -122,7 +134,7 @@ class StepFunction:
             raise ValueError("monotone step function must have non-decreasing values")
         if vapi < vals[-1]:
             raise ValueError("value_at_pos_inf must not fall below the final value")
-        _frozen(self, breakpoints=bp, values=vals, value_at_pos_inf=vapi)
+        self._store(breakpoints=bp, values=vals, value_at_pos_inf=vapi)
 
     def eval(self, x: ArrayLike) -> Union[float, np.ndarray]:
         """Evaluate at ``x`` (scalar or array; ``+-inf`` allowed)."""
@@ -152,7 +164,7 @@ class StepFunction:
 
 
 @dataclass(frozen=True, eq=False)
-class PiecewiseLinearMap:
+class PiecewiseLinearMap(_Frozen):
     """A continuous non-decreasing piecewise-linear function of a real variable.
 
     Defined by knots ``(xs, ys)``; beyond the outermost knots the end segments
@@ -189,7 +201,7 @@ class PiecewiseLinearMap:
         # A flat segment has slope 0; a rising one only when its slope underflows.
         if np.count_nonzero(slopes) != np.count_nonzero(dy):
             raise ValueError("the slope of a rising segment underflows to 0")
-        _frozen(self, xs=xs, ys=ys, slopes=slopes)
+        self._store(xs=xs, ys=ys, slopes=slopes)
 
     def __call__(self, x: ArrayLike) -> Union[float, np.ndarray]:
         xa = _as_float_array(x, "x")

@@ -26,7 +26,7 @@ from .measures import (
     measure_quantiles,
     pushforward,
 )
-from .steps import _frozen
+from .steps import _Frozen
 
 __all__ = [
     "TransformConfig",
@@ -52,7 +52,7 @@ COLLISION_WARN_GAP = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
-class TransformConfig:
+class TransformConfig(_Frozen):
     """Discretization of the transform: the reference measure and the number
     of midpoint quantile levels ``q_j = (j - 1/2) / M``.
 
@@ -72,11 +72,11 @@ class TransformConfig:
         if m < 2:
             raise ValueError("n_quantiles must be at least 2")
         q = (np.arange(m) + 0.5) / m
-        _frozen(self, n_quantiles=m, quantiles=q)
+        self._store(n_quantiles=m, quantiles=q)
 
 
 @dataclass(frozen=True, eq=False)
-class CdtResult:
+class CdtResult(_Frozen):
     """Transform of a finite positive measure: quantile samples of the
     normalized measure plus a total mass channel.
 
@@ -100,7 +100,7 @@ class CdtResult:
             raise ValueError("mass must be finite and nonnegative")
         if mass == 0 and np.any(samples != 0):
             raise ValueError("the zero measure is encoded as all-zero samples with mass 0")
-        _frozen(self, samples=samples, mass=mass)
+        self._store(samples=samples, mass=mass)
 
     @property
     def is_zero(self) -> bool:
@@ -112,7 +112,7 @@ class CdtResult:
 
 
 @dataclass(frozen=True, eq=False)
-class ScdtResult:
+class ScdtResult(_Frozen):
     """Transform of a signed measure: the pair of positive-part and
     negative-part transforms on a shared quantile grid."""
 
@@ -149,7 +149,7 @@ def cdt_positive(nu: DiscreteMeasure, cfg: TransformConfig) -> CdtResult:
     if memo is None or memo[0] != cfg.n_quantiles:
         samples = measure_quantiles(nu, cfg.quantiles)
         memo = (cfg.n_quantiles,
-                _frozen(object.__new__(CdtResult), samples=samples, mass=nu.total_mass))
+                object.__new__(CdtResult)._store(samples=samples, mass=nu.total_mass))
         nu.__dict__["_memo"] = memo
     return memo[1]
 
@@ -262,7 +262,7 @@ def scdt_inverse(t: ScdtResult, cfg: TransformConfig) -> SignedMeasure:
     """
     plus, minus = cdt_inverse(t.plus, cfg), cdt_inverse(t.minus, cfg)
     gap = _support_gap(plus.locations, minus.locations)
-    s = _frozen(object.__new__(SignedMeasure), positive_part=plus, negative_part=minus)
+    s = object.__new__(SignedMeasure)._store(positive_part=plus, negative_part=minus)
     if gap < COLLISION_WARN_GAP:
         warnings.warn(
             f"positive and negative supports are only {gap:.3g} apart; "

@@ -324,7 +324,10 @@ class TestFitLda:
 
     def test_arrays_are_frozen(self):
         model = fit_lda(self.separated_blobs(np.random.default_rng(0)))
-        for arr in (model.projection, model.class_means_projected, model.classes):
+        report = run_experiment(GenConfig(per_class=4, n_grid=32), TransformConfig(n_quantiles=8))
+        for arr in (model.projection, model.class_means_projected, model.classes,
+                    report.confusion_signal, report.confusion_scdt, report.projections_signal,
+                    report.projections_scdt, report.test_labels):
             assert not arr.flags.writeable
 
     def test_needs_two_classes_and_two_per_class(self):

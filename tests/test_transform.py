@@ -3,8 +3,11 @@ zero-measure convention, round trips, and singularity handling."""
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import importlib
 import pickle
+import pkgutil
 import warnings
 
 import numpy as np
@@ -12,9 +15,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import scdt
 from conftest import discrete_measures, probability_measures, signed_measures
 from oracles import quantile_scan, scdt_inverse_by_unique
-from scdt.classify import featurize
+from scdt.classify import FeatureMatrix, featurize, fit_lda, run_experiment
+from scdt.cli import ExperimentConfig
 from scdt.errors import RangeError, ScdtError, SingularityError, SingularityWarning
 from scdt.measures import (
     DiscreteMeasure,
@@ -25,7 +30,9 @@ from scdt.measures import (
     pushforward,
     rebin,
 )
-from scdt.steps import POS_INF
+from scdt.genmodel import TEMPLATES, GenConfig, IncreasingReparam, generate_dataset
+from scdt.metrics import d_s
+from scdt.steps import POS_INF, PiecewiseLinearMap, StepFunction, _Frozen
 from scdt.transform import (
     CdtResult,
     ScdtResult,
@@ -501,15 +508,16 @@ class TestTransformMemo:
         assert repr(plus) == before
         assert [f.name for f in dataclasses.fields(plus)] == ["locations", "weights", "total_mass"]
         assert "_memo" not in vars(dataclasses.replace(plus))
-        copy = pickle.loads(pickle.dumps(plus))
-        assert "_memo" not in vars(copy)
-        assert copy.locations.tobytes() == plus.locations.tobytes()
-        assert copy.total_mass == plus.total_mass
-        assert pickle.dumps(copy) == pickle.dumps(plus)
+        unpickled = pickle.loads(pickle.dumps(plus))
+        assert "_memo" not in vars(unpickled)
+        assert unpickled.locations.tobytes() == plus.locations.tobytes()
+        assert unpickled.total_mass == plus.total_mass
+        assert pickle.dumps(unpickled) == pickle.dumps(plus)
 
 
-def _trusted_outputs():
-    """Every result the library stores past ``__post_init__``, by name."""
+def _frozen_objects():
+    """One object of every dataclass of the package under its class name, and
+    every result the library stores past ``__post_init__``, by name."""
     d = GridDensity(-1.0, 2.0, np.array([1.0, -2.0, 0.0, 3.0, -0.5, 0.25]))
     cfg = TransformConfig(n_quantiles=8)
 
@@ -519,6 +527,16 @@ def _trusted_outputs():
     def features():
         return featurize([(0, d), (1, d), (1, d)], "scdt", cfg)
 
+    def memo_part():
+        part = measure_from_density(d).positive_part
+        cdt_positive(part, cfg)
+        return part
+
+    def lda_model():
+        rows = np.array([[0.0, 1.0], [0.5, 1.5], [4.0, 0.0], [4.5, 0.25]])
+        return fit_lda(FeatureMatrix(rows, [0, 0, 1, 1], "raw_signal"))
+
+    small = GenConfig(per_class=4, n_grid=32)
     return {
         "measure_from_density/positive": lambda: measure_from_density(d).positive_part,
         "measure_from_density/negative": lambda: measure_from_density(d).negative_part,
@@ -528,22 +546,76 @@ def _trusted_outputs():
         "scdt_inverse/negative": lambda: back().negative_part,
         "scdt_inverse/signed": back,
         "cdt_positive": lambda: cdt_positive(measure_from_density(d).positive_part, cfg),
+        "cdt_positive/measure": memo_part,
         "featurize": features,
         "subset": lambda: features().subset(np.array([True, False, True])),
+        "StepFunction": lambda: StepFunction(np.array([0.0, 1.0]), np.array([-np.inf, 0.5, 1.0])),
+        "PiecewiseLinearMap": lambda: PiecewiseLinearMap(np.array([0.0, 1.0]), np.array([0, 2.0])),
+        "DiscreteMeasure": lambda: DiscreteMeasure(np.array([0.0, 1.0]), np.array([2.0, 3.0])),
+        "SignedMeasure": lambda: SignedMeasure(DiscreteMeasure(np.array([0.0]), np.array([1.0])),
+                                               DiscreteMeasure.zero()),
+        "GridDensity": lambda: GridDensity(0.0, 1.0, np.array([1.0, -1.0])),
+        "ReferenceMeasure": lambda: ReferenceMeasure(np.array([-1.0, 0.5, 2.0]),
+                                                     np.array([0.0, 0.3, 2.5])),
+        "TransformConfig": lambda: TransformConfig(ReferenceMeasure.uniform(), n_quantiles=4),
+        "CdtResult": lambda: CdtResult(np.array([0.0, 1.0]), 2.0),
+        "ScdtResult": lambda: ScdtResult(CdtResult(np.array([0.0, 1.0]), 2.0), CdtResult.zero(2)),
+        "DistanceReport": lambda: d_s(measure_from_density(d), back(), 8),
+        "IncreasingReparam": lambda: IncreasingReparam.piecewise_linear([0.0, 1.0], [0.0, 2.0]),
+        "ClassTemplate": lambda: TEMPLATES[0],
+        "GenConfig": lambda: small,
+        "LabeledSignals": lambda: generate_dataset(small),
+        "FeatureMatrix": lambda: FeatureMatrix(np.zeros((2, 3)), [0, 1], "raw_signal"),
+        "LdaModel": lda_model,
+        "ExperimentReport": lambda: run_experiment(small, TransformConfig(n_quantiles=8)),
+        "ExperimentConfig": lambda: ExperimentConfig(small, cfg, 1),
     }
 
 
-TRUSTED_OUTPUTS = _trusted_outputs()
+FROZEN_OBJECTS = _frozen_objects()
+
+#: Every dataclass defined in a module of the package.
+DATACLASSES = {
+    cls
+    for info in pkgutil.iter_modules(scdt.__path__)
+    for cls in vars(importlib.import_module(f"scdt.{info.name}")).values()
+    if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+    and cls.__module__ == f"scdt.{info.name}"
+}
 
 
-@pytest.mark.parametrize("make", TRUSTED_OUTPUTS.values(), ids=TRUSTED_OUTPUTS.keys())
-def test_trusted_output_is_a_complete_frozen_dataclass(make):
-    # Stored without __post_init__, so a misspelled or missing field shows only here.
-    obj = make()
-    names = {f.name for f in dataclasses.fields(obj)}
-    assert set(vars(obj)) - {"_memo", "_csum"} == names
-    for name in names:
-        value = getattr(obj, name)
-        assert not isinstance(value, np.ndarray) or not value.flags.writeable
-    assert repr(dataclasses.replace(obj)) == repr(obj)
-    assert repr(pickle.loads(pickle.dumps(obj))) == repr(obj)
+def _held(obj):
+    """``obj`` and every dataclass and array in its fields, nested ones included."""
+    yield obj
+    if dataclasses.is_dataclass(obj):
+        values = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    else:
+        values = obj.values() if isinstance(obj, dict) else obj if isinstance(obj, tuple) else ()
+    for value in values:
+        yield from _held(value)
+
+
+@pytest.mark.parametrize("name", FROZEN_OBJECTS)
+def test_trusted_output_is_a_complete_frozen_dataclass(name):
+    # Every dataclass derives from _Frozen and has an object above under its class name.
+    class_names = {cls.__name__ for cls in DATACLASSES}
+    assert all(issubclass(cls, _Frozen) for cls in DATACLASSES)
+    assert class_names <= FROZEN_OBJECTS.keys()
+    obj = FROZEN_OBJECTS[name]()
+    assert type(obj) in DATACLASSES and (name not in class_names or type(obj).__name__ == name)
+    copies = {"copy": copy.copy(obj), "deepcopy": copy.deepcopy(obj)}
+    if not isinstance(obj, scdt.ClassTemplate):  # its lambdas cannot be pickled
+        copies["pickle"] = pickle.loads(pickle.dumps(obj))
+    # A result stored without __post_init__ shows a misspelled or missing field only here.
+    # A copy holds the fields alone, every array read-only, nested ones included; a
+    # shallow copy shares the nested objects, caches and all.
+    for kind, held in [("object", obj), *copies.items()]:
+        for value in _held(held):
+            assert not isinstance(value, np.ndarray) or not value.flags.writeable, kind
+            if dataclasses.is_dataclass(value):
+                names = {f.name for f in dataclasses.fields(value)}
+                shared = kind == "object" or (kind == "copy" and value is not held)
+                assert set(vars(value)) - ({"_memo", "_csum"} if shared else set()) == names, kind
+        assert repr(held) == repr(obj), kind
+    if name not in class_names:
+        assert repr(dataclasses.replace(obj)) == repr(obj)
