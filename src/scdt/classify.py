@@ -233,7 +233,7 @@ def run_experiment(
     deterministic, so equal seeds give bit-identical reports.
     """
     if seed is not None:
-        gen = dataclasses.replace(gen, seed=int(seed))
+        gen = dataclasses.replace(gen, seed=seed)
     signals = generate_dataset(gen)
     index = np.arange(len(signals))
     train_idx, test_idx = index % 2 == 0, index % 2 == 1

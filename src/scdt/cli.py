@@ -40,7 +40,7 @@ from .fileio import (
 from .genmodel import GenConfig, generate_dataset
 from .measures import ReferenceMeasure, measure_from_density, rebin
 from .metrics import d_s, d_w2, w2
-from .steps import _Frozen
+from .steps import _Frozen, _whole
 from .transform import DEFAULT_N_QUANTILES, TransformConfig, scdt_forward, scdt_inverse
 
 __all__ = ["main", "read_experiment_config", "ExperimentConfig", "seed_override_from_env"]
@@ -89,12 +89,10 @@ def read_experiment_config(path: Union[str, os.PathLike]) -> ExperimentConfig:
         raise ParseError(f"{path}: unknown keys {sorted(unknown)}")
 
     def integer(value: Any, key: str) -> int:
-        # Whole numbers only: int() would truncate 16.9 and parse "7".
-        if isinstance(value, int) and not isinstance(value, bool):
-            return value
-        if isinstance(value, float) and value.is_integer():
-            return int(value)
-        raise ParseError(f"{path}: {key} must be an integer, got {value!r}")
+        try:
+            return _whole(value, key)
+        except ValueError:
+            raise ParseError(f"{path}: {key} must be an integer, got {value!r}") from None
 
     gen_kwargs: Dict[str, Any] = {}
     for key in _GEN_KEYS & set(obj):

@@ -24,7 +24,7 @@ from .measures import (
     rebin,
 )
 from .errors import RangeError, ScdtError
-from .steps import ArrayLike, PiecewiseLinearMap, _Frozen, _along, _like
+from .steps import ArrayLike, PiecewiseLinearMap, _Frozen, _along, _like, _whole
 from .transform import CdtResult, ScdtResult, TransformConfig, scdt_forward
 
 __all__ = [
@@ -201,7 +201,7 @@ class GenConfig(_Frozen):
     def __post_init__(self) -> None:
         if not (np.isfinite(self.t0) and np.isfinite(self.t1) and self.t0 < self.t1):
             raise ValueError("need finite t0 < t1")
-        n_grid = int(self.n_grid)
+        n_grid = _whole(self.n_grid, "n_grid")
         if n_grid < 1:
             raise ValueError("n_grid must be at least 1")
         for name, (lo, hi) in (("a_range", self.a_range), ("b_range", self.b_range)):
@@ -212,15 +212,14 @@ class GenConfig(_Frozen):
         if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ValueError("noise_sigma must be nonnegative")
         counts = self.per_class
-        if isinstance(counts, (int, np.integer)):
-            counts = (int(counts),) * len(TEMPLATES)
-        else:
-            counts = tuple(int(c) for c in counts)
+        if np.ndim(counts) == 0:
+            counts = (counts,) * len(TEMPLATES)
+        counts = tuple(_whole(c, "per_class") for c in counts)
         if len(counts) != len(TEMPLATES):
             raise ValueError(f"per_class must give one count per class ({len(TEMPLATES)})")
         if any(c < 1 for c in counts):
             raise ValueError("per_class counts must be positive")
-        self._store(n_grid=n_grid, per_class=counts, seed=int(self.seed))
+        self._store(n_grid=n_grid, per_class=counts, seed=_whole(self.seed, "seed"))
 
     @property
     def n_signals(self) -> int:
@@ -252,6 +251,8 @@ class LabeledSignals(_Frozen):
         samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 2 or labels.ndim != 1 or labels.size != samples.shape[0]:
             raise ValueError("samples must be (n_signals, n_bins) with one label per row")
+        if 0 in samples.shape:
+            raise ValueError("samples must be (n_signals, n_bins) with at least one of each")
         grid = GridDensity(self.t0, self.t1, samples.reshape(-1))  # its grid and sample checks
         self._store(labels=labels, t0=grid.t0, t1=grid.t1, samples=samples)
 

@@ -14,7 +14,9 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .errors import InvalidReferenceError, RangeError, SingularityError
-from .steps import ArrayLike, PiecewiseLinearMap, StepFunction, _Frozen, _geninv_search, _steps
+from .steps import (
+    ArrayLike, PiecewiseLinearMap, StepFunction, _Frozen, _geninv_search, _steps, _whole,
+)
 
 __all__ = [
     "DiscreteMeasure",
@@ -339,7 +341,7 @@ def rebin(m: SignedMeasure, t0: float, t1: float, n_bins: int) -> GridDensity:
     infinite locations.
     """
     t0, t1 = float(t0), float(t1)
-    n_bins = int(n_bins)
+    n_bins = _whole(n_bins, "n_bins")
     if not (np.isfinite(t0) and np.isfinite(t1) and t0 < t1 and n_bins >= 1):
         raise ValueError("need finite t0 < t1 and n_bins >= 1")
     _check_span(t0, t1)

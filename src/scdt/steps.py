@@ -37,6 +37,17 @@ def _as_float_array(x: ArrayLike, name: str) -> np.ndarray:
     return arr
 
 
+def _whole(value, name: str) -> int:
+    """``value`` as an int where it is an int, a numpy integer or a whole float;
+    anything else (a bool, a string, a fractional or non-finite float) raises
+    :class:`ValueError`."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
+
+
 def _like(x: ArrayLike, out: np.ndarray) -> Union[float, np.ndarray]:
     """``out`` as a float where the argument ``x`` is a scalar, else ``out`` itself."""
     return float(out) if np.ndim(x) == 0 else out
@@ -127,7 +138,7 @@ class StepFunction(_Frozen):
             raise ValueError("breakpoints must be finite")
         if bp.size > 1 and not np.all(bp[1:] > bp[:-1]):
             raise ValueError("breakpoints must be strictly increasing")
-        vapi = vals[-1] if self.value_at_pos_inf is None else float(self.value_at_pos_inf)
+        vapi = float(vals[-1] if self.value_at_pos_inf is None else self.value_at_pos_inf)
         if np.isnan(vapi):
             raise ValueError("value_at_pos_inf must not be NaN")
         if vals.size > 1 and not np.all(vals[1:] >= vals[:-1]):

@@ -26,7 +26,7 @@ from .measures import (
     measure_quantiles,
     pushforward,
 )
-from .steps import _Frozen
+from .steps import _Frozen, _whole
 
 __all__ = [
     "TransformConfig",
@@ -68,7 +68,7 @@ class TransformConfig(_Frozen):
     def __post_init__(self) -> None:
         if not isinstance(self.reference, ReferenceMeasure):
             raise TypeError("reference must be a ReferenceMeasure")
-        m = int(self.n_quantiles)
+        m = _whole(self.n_quantiles, "n_quantiles")
         if m < 2:
             raise ValueError("n_quantiles must be at least 2")
         q = (np.arange(m) + 0.5) / m

@@ -342,6 +342,30 @@ class TestGenConfig:
         with pytest.raises(ValueError):
             GenConfig(per_class=(5, 0, 5))
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            (dict(n_grid=16.9), "n_grid"),
+            (dict(n_grid=np.inf), "n_grid"),
+            (dict(seed=1.5), "seed"),
+            (dict(seed=True), "seed"),
+            (dict(per_class=(2.5, 2, 2)), "per_class"),
+            (dict(per_class=True), "per_class"),
+            (dict(per_class=2.5), "per_class"),
+            (dict(per_class="2"), "per_class"),
+        ],
+        ids=["fractional-n_grid", "infinite-n_grid", "fractional-seed", "bool-seed",
+             "fractional-count", "bool-per_class", "fractional-per_class", "text-per_class"],
+    )
+    def test_integer_fields_take_whole_numbers_only(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+            GenConfig(**kwargs)
+
+    def test_whole_floats_and_numpy_integers_are_ints(self):
+        cfg = GenConfig(n_grid=16.0, seed=np.int64(3), per_class=(np.int32(2), 3.0, 4))
+        assert (cfg.n_grid, cfg.seed, cfg.per_class) == (16, 3, (2, 3, 4))
+        assert all(type(v) is int for v in (cfg.n_grid, cfg.seed, *cfg.per_class))
+
 
 #: Warps every atom to about -1, where neighbours of opposite sign collide.
 COLLAPSING = GenConfig(t0=-3.0, a_range=(1e15, 1e15), b_range=(1e15, 1e15), per_class=1)
@@ -478,12 +502,13 @@ class TestLabeledSignals:
             ([0, 1, 2], 0.0, 1.0, np.ones((2, 3)), "one label per row"),
             ([0], 0.0, 1.0, np.ones((2, 3)), "one label per row"),
             ([0, 1], 0.0, 1.0, np.ones(2), "one label per row"),
-            ([0, 1], 0.0, 1.0, np.ones((2, 0)), "at least one bin"),
+            ([], 0.0, 1.0, np.ones((0, 3)), r"\(n_signals, n_bins\) with at least one of each"),
+            ([0, 1], 0.0, 1.0, np.ones((2, 0)), r"\(n_signals, n_bins\) with at least one of each"),
             ([0, 1], 1.0, 0.0, np.ones((2, 3)), "need finite t0 < t1"),
             ([0, 1], -1e308, 1e308, np.ones((2, 3)), "overflows float64"),
         ],
         ids=["fractional-label", "text-label", "nan-sample", "inf-sample", "more-labels",
-             "fewer-labels", "1-d-samples", "no-bins", "reversed-grid", "span-overflow"],
+             "fewer-labels", "1-d-samples", "no-signals", "no-bins", "reversed-grid", "span-overflow"],
     )
     def test_constructor_refuses(self, labels, t0, t1, samples, message):
         with pytest.raises(ValueError, match=message):

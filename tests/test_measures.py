@@ -537,6 +537,11 @@ class TestRebin:
         d = rebin(SignedMeasure.zero(), 0.0, 1.0, 4)
         assert np.array_equal(d.samples, np.zeros(4))
 
+    @pytest.mark.parametrize("n_bins", [2.5, np.inf, True, "4"])
+    def test_n_bins_must_be_a_whole_number(self, n_bins):
+        with pytest.raises(ValueError, match="n_bins must be a whole number"):
+            rebin(SignedMeasure.zero(), 0.0, 1.0, n_bins)
+
     def test_atom_on_right_edge_kept_in_last_bin(self):
         m = SignedMeasure(
             DiscreteMeasure(np.array([1.0]), np.array([1.0])), DiscreteMeasure.zero()

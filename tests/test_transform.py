@@ -61,6 +61,15 @@ class TestTransformConfig:
         with pytest.raises(ValueError):
             TransformConfig(n_quantiles=1)
 
+    @pytest.mark.parametrize("m", [2.7, np.inf, np.nan, True, "8"])
+    def test_n_quantiles_must_be_a_whole_number(self, m):
+        with pytest.raises(ValueError, match="n_quantiles must be a whole number"):
+            TransformConfig(n_quantiles=m)
+
+    def test_whole_float_and_numpy_integer_n_quantiles(self):
+        for m in (8.0, np.int32(8), np.float64(8.0)):
+            assert type(TransformConfig(n_quantiles=m).n_quantiles) is int
+
     def test_rejects_non_reference(self):
         with pytest.raises(TypeError):
             TransformConfig(reference="uniform")
@@ -617,5 +626,4 @@ def test_trusted_output_is_a_complete_frozen_dataclass(name):
                 shared = kind == "object" or (kind == "copy" and value is not held)
                 assert set(vars(value)) - ({"_memo", "_csum"} if shared else set()) == names, kind
         assert repr(held) == repr(obj), kind
-    if name not in class_names:
-        assert repr(dataclasses.replace(obj)) == repr(obj)
+    assert repr(dataclasses.replace(obj)) == repr(obj)
