@@ -121,6 +121,10 @@ def _edge_cases(scdt, ctx):
         "integer-ranges": dict(a_range=(1, 2), b_range=(0, 0), per_class=5, n_grid=64, seed=4),
         "loud": dict(noise_sigma=3.0, per_class=5, n_grid=32, seed=9),
         "beyond-float64": dict(a_range=(1e-310, 1e-310), per_class=1),
+        # tests/conftest.py MERGING_GEN: every row's warped atoms merge, so every row is
+        # replayed through rebin(apply_reparam(...)) and succeeds.
+        "merging": dict(a_range=(4.2e13, 4.4e13), b_range=(-1.31e14, -1.29e14),
+                        per_class=(2, 2, 2), seed=3),
     }
     for name, kwargs in configs.items():
         mode = ERRORS if name == "beyond-float64" else PLAIN

@@ -98,7 +98,14 @@ class LdaModel(_Frozen):
     regularization: float
 
     def transform(self, rows: np.ndarray) -> np.ndarray:
-        return np.asarray(rows, dtype=float) @ self.projection
+        """The projections of ``rows``, an (n, p) array of feature vectors."""
+        rows, p = np.asarray(rows, dtype=float), self.projection.shape[0]
+        if rows.ndim != 2 or rows.shape[1] != p:
+            raise ValueError(f"rows must be (n, {p}): one feature vector of length {p} each")
+        proj = rows @ self.projection
+        if not np.all(np.isfinite(proj)):  # n x k, k < #classes: no pass over the features
+            raise ValueError("rows must be finite and project to finite values")
+        return proj
 
     def predict(self, rows: np.ndarray) -> np.ndarray:
         proj = self.transform(rows)

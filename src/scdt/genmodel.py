@@ -19,7 +19,7 @@ from .measures import (
     DiscreteMeasure,
     GridDensity,
     SignedMeasure,
-    _bin_index,
+    _deposit,
     measure_from_density,
     rebin,
 )
@@ -219,7 +219,10 @@ class GenConfig(_Frozen):
             raise ValueError(f"per_class must give one count per class ({len(TEMPLATES)})")
         if any(c < 1 for c in counts):
             raise ValueError("per_class counts must be positive")
-        self._store(n_grid=n_grid, per_class=counts, seed=_whole(self.seed, "seed"))
+        seed = _whole(self.seed, "seed")
+        if seed < 0:
+            raise ValueError(f"seed must be a nonnegative whole number, got {seed}")
+        self._store(n_grid=n_grid, per_class=counts, seed=seed)
 
     @property
     def n_signals(self) -> int:
@@ -308,8 +311,7 @@ def _warp_and_rebin(
     """Adds ``rebin(apply_reparam(base, IncreasingReparam.affine(a[i], b[i])),
     t0, t1, n).samples`` to row ``i`` of ``out`` wherever row ``i`` of the
     returned mask is True: the warped atoms stay strictly increasing and on
-    the grid, so no weights merge and one ``bincount`` over row-offset bin
-    indices adds each bin's weights in the same order as ``rebin``."""
+    the grid, so no weights merge and ``rebin``'s deposit adds them as is."""
     pos, neg = base.positive_part, base.negative_part
     locations = np.concatenate((pos.locations, neg.locations))
     with np.errstate(over="ignore"):  # a row that overflows is not exact
@@ -318,16 +320,10 @@ def _warp_and_rebin(
     exact = np.all(ordered[:, 1:] > ordered[:, :-1], axis=1) & np.all(
         (warped >= t0) & (warped <= t1), axis=1
     )
-    rows, n = np.count_nonzero(exact), out.shape[1]
-    width = (t1 - t0) / n
-    index = _bin_index(warped[exact], t0, width, n) + n * np.arange(rows)[:, None]
-
-    def deposit(part: DiscreteMeasure, cols: np.ndarray) -> np.ndarray:
-        weights = np.broadcast_to(part.weights, cols.shape)
-        return np.bincount(cols.ravel(), weights.ravel(), minlength=rows * n)
-
-    pos_index, neg_index = np.split(index, [pos.weights.size], axis=1)
-    out[exact] += ((deposit(pos, pos_index) - deposit(neg, neg_index)) / width).reshape(rows, n)
+    n = out.shape[1]
+    pos_locs, neg_locs = np.split(warped[exact], [pos.weights.size], axis=1)
+    atoms = [(pos_locs, pos.weights), (neg_locs, neg.weights)]
+    out[exact] += _deposit(atoms, t0, (t1 - t0) / n, n)
     return exact
 
 

@@ -345,34 +345,37 @@ def rebin(m: SignedMeasure, t0: float, t1: float, n_bins: int) -> GridDensity:
     if not (np.isfinite(t0) and np.isfinite(t1) and t0 < t1 and n_bins >= 1):
         raise ValueError("need finite t0 < t1 and n_bins >= 1")
     _check_span(t0, t1)
-    width = (t1 - t0) / n_bins
-
-    def deposit(part: DiscreteMeasure) -> np.ndarray:
-        if part.is_zero:
-            return np.zeros(n_bins)
-        locs = part.locations  # strictly increasing: the ends are the extremes
+    parts = (m.positive_part, m.negative_part)
+    for locs in (part.locations for part in parts if not part.is_zero):
+        # Strictly increasing: the ends are the extremes.
         if not (np.isfinite(locs[0]) and np.isfinite(locs[-1])):
             raise RangeError("cannot rebin atoms at +-inf onto a finite grid")
         if locs[0] < t0 or locs[-1] > t1:
-            raise RangeError(
-                f"atoms outside the grid [{t0}, {t1}] cannot be rebinned"
-            )
-        return np.bincount(_bin_index(locs, t0, width, n_bins), weights=part.weights,
-                           minlength=n_bins)
+            raise RangeError(f"atoms outside the grid [{t0}, {t1}] cannot be rebinned")
+    atoms = [(part.locations[None], part.weights) for part in parts]
+    return GridDensity(t0, t1, _deposit(atoms, t0, (t1 - t0) / n_bins, n_bins)[0])
 
-    density = deposit(m.positive_part)
-    density -= deposit(m.negative_part)
+
+def _deposit(parts, t0: float, width: float, n_bins: int) -> np.ndarray:
+    """Rows of density on ``n_bins`` bins of ``width`` from ``t0``: per bin, positive
+    minus negative weight, over the width.  ``parts`` holds the positive then the
+    negative ``(locations, weights)``: a row of locations per density row, checked to
+    lie on the grid (the right edge falls in the last bin), and weights shared by every
+    row.  Each part is one ``bincount`` over ``row * n_bins + bin``, in atom order."""
+    masses = []
+    for locs, weights in parts:
+        bins = locs - t0
+        bins /= width
+        bins = np.minimum(bins, n_bins - 1, out=bins).astype(int)
+        bins += n_bins * np.arange(len(locs))[:, None]
+        weights = np.broadcast_to(weights, bins.shape).ravel()
+        size = len(locs) * n_bins
+        # An empty index counts in int64 whatever the weights: no rows, or no atoms.
+        masses.append(np.bincount(bins.ravel(), weights, size) if bins.size else np.zeros(size))
+    density = masses[0]
+    density -= masses[1]
     density /= width
-    return GridDensity(t0, t1, density)
-
-
-def _bin_index(locs: np.ndarray, t0: float, width: float, n_bins: int) -> np.ndarray:
-    """The bin of each location of the grid ``[t0, t0 + n_bins * width]``
-    (the right edge falls in the last bin), for locations already checked to
-    lie on it."""
-    offsets = locs - t0
-    offsets /= width
-    return np.minimum(offsets, n_bins - 1, out=offsets).astype(int)
+    return density.reshape(-1, n_bins)
 
 
 def measure_quantiles(m: DiscreteMeasure, q: np.ndarray) -> np.ndarray:

@@ -235,29 +235,15 @@ class PiecewiseLinearMap(_Frozen):
         """
         ya = _as_float_array(y, "y")
         n = self.xs.size
-        j = np.searchsorted(self.ys, ya, side="left")
-        out = np.empty(ya.shape, dtype=float)
-
-        lo = j == 0
-        hi = j == n
-        mid = ~(lo | hi)
-
-        if np.any(lo):
-            if self.slopes[0] > 0:
-                out[lo] = _along(self.xs[0], self.ys[0], ya[lo], self.slopes[0], divide=True)
-            else:
-                # Flat to the left: every x at or below the plateau qualifies.
-                out[lo] = NEG_INF
-        if np.any(hi):
-            if self.slopes[-1] > 0:
-                out[hi] = _along(self.xs[-1], self.ys[-1], ya[hi], self.slopes[-1], divide=True)
-            else:
-                out[hi] = POS_INF
-        if np.any(mid):
-            jm = j[mid]
-            out[mid] = np.where(ya[mid] == self.ys[jm], self.xs[jm], _along(
-                self.xs[jm - 1], self.ys[jm - 1], ya[mid], self.slopes[jm - 1], divide=True))
-        return _like(y, out)
+        j = np.searchsorted(self.ys, ya, side="left")  # ys[j - 1] < y <= ys[j]
+        i = np.clip(j - 1, 0, n - 1)
+        s = self.slopes[np.minimum(i, n - 2)]
+        # Past a flat end every x qualifies (left) or none does (right): the
+        # probe moves to -inf or +inf, which the flat segment keeps there.
+        t = np.where(s > 0, ya, np.where(j == 0, NEG_INF, POS_INF))
+        out = _along(self.xs[i], self.ys[i], t, s, divide=True)
+        hit = (j > 0) & (ya == self.ys.take(j, mode="clip"))
+        return _like(y, np.where(hit, self.xs.take(j, mode="clip"), out))
 
 
 def _along(origin, start, t, slope, divide=False):

@@ -50,6 +50,9 @@ PROBABILITY_RTOL = 1e-9
 #: mutual singularity is numerically borderline.
 COLLISION_WARN_GAP = 1e-9
 
+#: The reference of every config given none: its arrays are read-only, so one serves all.
+_UNIFORM = ReferenceMeasure.uniform()
+
 
 @dataclass(frozen=True, eq=False)
 class TransformConfig(_Frozen):
@@ -61,7 +64,7 @@ class TransformConfig(_Frozen):
     are where quantile functions escape to ``+-inf``).
     """
 
-    reference: ReferenceMeasure = field(default_factory=ReferenceMeasure.uniform)
+    reference: ReferenceMeasure = _UNIFORM
     n_quantiles: int = DEFAULT_N_QUANTILES
     quantiles: np.ndarray = field(init=False, repr=False)
 

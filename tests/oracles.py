@@ -15,6 +15,7 @@ from scipy.optimize import linprog
 from scdt.classify import LdaModel
 from scdt.errors import SingularityError
 from scdt.measures import DiscreteMeasure
+from scdt.steps import _along, _as_float_array, _like
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -345,3 +346,33 @@ def scdt_inverse_by_unique(t, cfg):
         warned.append(f"positive and negative supports are only {gap:.3g} apart; "
                       "mutual singularity is numerically borderline")
     return parts[0], parts[1], warned
+
+
+def preimage_by_branches(g, y):
+    """``inf{x : g(x) >= y}`` for a ``PiecewiseLinearMap`` ``g``, split into three
+    branches by the knot ordinate searched: left of every knot (the first
+    segment extended, or ``-inf`` past a flat left end), right of every knot
+    (the last segment extended, or ``+inf`` past a flat right end), and between
+    knots, where a probe equal to a knot ordinate returns that knot's abscissa."""
+    ya = _as_float_array(y, "y")
+    n = g.xs.size
+    j = np.searchsorted(g.ys, ya, side="left")
+    out = np.empty(ya.shape, dtype=float)
+    lo = j == 0
+    hi = j == n
+    mid = ~(lo | hi)
+    if np.any(lo):
+        if g.slopes[0] > 0:
+            out[lo] = _along(g.xs[0], g.ys[0], ya[lo], g.slopes[0], divide=True)
+        else:
+            out[lo] = NEG_INF
+    if np.any(hi):
+        if g.slopes[-1] > 0:
+            out[hi] = _along(g.xs[-1], g.ys[-1], ya[hi], g.slopes[-1], divide=True)
+        else:
+            out[hi] = POS_INF
+    if np.any(mid):
+        jm = j[mid]
+        out[mid] = np.where(ya[mid] == g.ys[jm], g.xs[jm], _along(
+            g.xs[jm - 1], g.ys[jm - 1], ya[mid], g.slopes[jm - 1], divide=True))
+    return _like(y, out)

@@ -371,6 +371,25 @@ class TestFitLda:
         padded = np.hstack([blobs.rows, np.full((blobs.rows.shape[0], 2), 7.0)])
         assert np.mean(model.predict(padded) == blobs.labels) == 1.0
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (np.zeros(2), r"rows must be \(n, 2\)"),
+            (np.zeros((3, 4)), r"rows must be \(n, 2\)"),
+            (np.zeros((3, 2, 1)), r"rows must be \(n, 2\)"),
+            (np.array([[0.0, 0.0], [np.nan, 1.0]]), "finite"),
+            (np.array([[np.inf, 0.0]]), "finite"),
+            (np.array([[1e308, 1e308]]) * [[1.0, -1.0]], "finite"),
+        ],
+        ids=["1-D", "wrong-width", "3-D", "nan", "inf", "overflowing-projection"],
+    )
+    def test_transform_and_predict_refuse_bad_rows(self, rows, message):
+        model = fit_lda(self.separated_blobs(np.random.default_rng(0)))
+        for method in (model.transform, model.predict):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(ValueError, match=message):
+                    method(rows)
+
     @pytest.mark.parametrize("lda_lambda", [0.0, -1e-6, np.nan, np.inf, -np.inf])
     def test_lambda_must_be_finite_and_positive(self, lda_lambda):
         train = self.separated_blobs(np.random.default_rng(0))

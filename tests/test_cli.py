@@ -255,6 +255,20 @@ class TestGenerate:
         monkeypatch.setenv("SCDT_SEED", "many")
         assert main(["generate", "--config", cfg, "--outdir", str(tmp_path / "d")]) == 2
 
+    @pytest.mark.parametrize("command", ["generate", "classify-demo"])
+    def test_negative_seed_exit_2_before_generating(self, tmp_path, capsys, monkeypatch,
+                                                    command):
+        outputs = (["--outdir", str(tmp_path / "d")] if command == "generate" else
+                   ["--report", str(tmp_path / "r.json"), "--plots", str(tmp_path / "p.csv")])
+        monkeypatch.delenv("SCDT_SEED", raising=False)
+        cfg = self.config(tmp_path, seed=-1)
+        assert main([command, "--config", cfg, *outputs]) == 2
+        assert f"{cfg}: seed must be a nonnegative whole number, got -1" in capsys.readouterr().err
+        monkeypatch.setenv("SCDT_SEED", "-1")
+        assert main([command, "--config", self.config(tmp_path), *outputs]) == 2
+        assert "seed must be a nonnegative whole number, got -1" in capsys.readouterr().err
+        assert not any(tmp_path.glob("[drp]*"))
+
     def test_unknown_config_key_exit_2(self, tmp_path):
         cfg = self.config(tmp_path, extra_knob=1)
         assert main(["generate", "--config", cfg, "--outdir", str(tmp_path / "d")]) == 2

@@ -366,6 +366,16 @@ class TestGenConfig:
         assert (cfg.n_grid, cfg.seed, cfg.per_class) == (16, 3, (2, 3, 4))
         assert all(type(v) is int for v in (cfg.n_grid, cfg.seed, *cfg.per_class))
 
+    @pytest.mark.parametrize("seed", [-1, -3.0, np.int64(-2**40)])
+    def test_negative_seed_is_refused_by_name(self, seed):
+        # np.random.default_rng takes no negative seed; refuse it before generating.
+        with pytest.raises(ValueError, match=f"seed must be a nonnegative whole number, got "
+                                             f"{int(seed)}$"):
+            GenConfig(seed=seed)
+        with pytest.raises(ValueError, match="seed must be a nonnegative whole number"):
+            scdt.run_experiment(GenConfig(per_class=2, n_grid=8),
+                                scdt.TransformConfig(n_quantiles=4), seed=seed)
+
 
 #: Warps every atom to about -1, where neighbours of opposite sign collide.
 COLLAPSING = GenConfig(t0=-3.0, a_range=(1e15, 1e15), b_range=(1e15, 1e15), per_class=1)

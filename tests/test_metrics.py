@@ -21,7 +21,7 @@ from scdt.measures import (
     measure_from_density,
 )
 from scdt.metrics import DistanceReport, d_s, d_w2, transform_l2, w2
-from scdt.steps import POS_INF
+from scdt.steps import POS_INF, PiecewiseLinearMap
 from scdt.transform import CdtResult, ScdtResult, TransformConfig, scdt_forward
 
 
@@ -151,6 +151,20 @@ class TestDW2:
     def test_symmetry_exact(self, s):
         a, b = s.positive_part, s.negative_part
         assert d_w2(a, b, n_quantiles=64).value == d_w2(b, a, n_quantiles=64).value
+
+
+def test_metrics_share_the_default_reference(monkeypatch):
+    # Each metric call builds a TransformConfig; none may rebuild the uniform
+    # reference, whose CDF is the only PiecewiseLinearMap on these paths.
+    built = []
+    original = PiecewiseLinearMap.__post_init__
+    monkeypatch.setattr(PiecewiseLinearMap, "__post_init__",
+                        lambda self: built.append(self) or original(self))
+    a, b = SignedMeasure(delta(0.0), delta(1.0)), SignedMeasure(delta(0.5), delta(2.0))
+    for call in all_four(a, b, 16)[:3]:
+        call()
+    assert built == []
+    assert TransformConfig().reference is TransformConfig(n_quantiles=8).reference
 
 
 class TestDS:

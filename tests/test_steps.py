@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import geninv_grid_scan, geninv_scan, step_eval_scan
+from oracles import geninv_grid_scan, geninv_scan, preimage_by_branches, step_eval_scan
 from scdt.steps import NEG_INF, POS_INF, PiecewiseLinearMap, StepFunction, compose
 
 
@@ -383,6 +383,29 @@ class TestPiecewiseLinear:
             assert flat(-1e308) == 3.0
             assert flat.preimage(-5.0) == NEG_INF
             assert np.array_equal(flat([POS_INF, NEG_INF]), [POS_INF, 3.0])
+
+    @given(pwl_maps(), st.sampled_from([1.0, 1e306, 3e306]),
+           st.lists(st.floats(min_value=-1e308, max_value=1e308), max_size=4))
+    def test_preimage_is_the_three_branch_oracle_bit_for_bit(self, g, scale, extra):
+        # Scaled knots reach 1.35e308, so probes out to +-1e308 overflow the
+        # terms of an end segment, and then its point or only its halved terms.
+        g = PiecewiseLinearMap(g.xs * scale, g.ys * scale)
+        mids = g.ys[:-1] / 2 + g.ys[1:] / 2
+        probes = [*g.ys, *mids, g.ys[0] - scale, g.ys[-1] + scale,
+                  NEG_INF, POS_INF, -1e308, 1e308, *extra]
+
+        def outcome(preimage, y):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    out = preimage(y)
+                except ValueError as exc:
+                    return "raised", str(exc)
+            arr = np.asarray(out)
+            return type(out), arr.dtype, arr.shape, arr.tobytes()
+
+        for y in [*probes, np.array(probes), g.ys, mids]:
+            assert outcome(g.preimage, y) == outcome(lambda v: preimage_by_branches(g, v), y)
 
 
 # --- composition ------------------------------------------------------------
