@@ -114,6 +114,17 @@ def _default_protocol(scdt, ctx):
 def _edge_cases(scdt, ctx):
     yield "experiment/untrained-class", PLAIN, lambda: scdt.classify.run_experiment(
         scdt.GenConfig(per_class=(3, 4, 1), n_grid=32), scdt.TransformConfig(n_quantiles=16))
+
+    def one_bin():
+        # Each space keeps one discriminant direction, so the projections are padded,
+        # and class 2 is never predicted, so a confusion column stays empty.
+        rep = scdt.classify.run_experiment(
+            scdt.GenConfig(n_grid=1, per_class=(4, 4, 4), noise_sigma=0.0),
+            scdt.TransformConfig(n_quantiles=2))
+        return (rep.accuracy_signal_space, rep.accuracy_scdt_space, rep.confusion_signal,
+                rep.confusion_scdt, rep.projections_signal, rep.projections_scdt,
+                rep.test_labels)
+    yield "experiment/one-bin", PLAIN, one_bin
     configs = {
         "off_grid": dict(a_range=(0.1, 0.1)),
         "collapsing": dict(t0=-3.0, a_range=(1e15, 1e15), b_range=(1e15, 1e15), per_class=1),

@@ -56,7 +56,8 @@ class FeatureMatrix(_Frozen):
             raise ValueError(f"feature_kind must be one of {FEATURE_KINDS}")
         self._store(rows=rows, labels=labels)
 
-    def subset(self, index: np.ndarray) -> "FeatureMatrix":
+    def subset(self, index: Union[slice, np.ndarray]) -> "FeatureMatrix":
+        """The rows at ``index``: a slice shares them (read-only), an index array copies them."""
         return object.__new__(FeatureMatrix)._store(
             rows=self.rows[index], labels=self.labels[index], feature_kind=self.feature_kind)
 
@@ -103,7 +104,7 @@ class LdaModel(_Frozen):
         if rows.ndim != 2 or rows.shape[1] != p:
             raise ValueError(f"rows must be (n, {p}): one feature vector of length {p} each")
         proj = rows @ self.projection
-        if not np.all(np.isfinite(proj)):  # n x k, k < #classes: no pass over the features
+        if not np.all(np.isfinite(proj if proj.shape[1] else rows)):  # n x k; the rows if k = 0
             raise ValueError("rows must be finite and project to finite values")
         return proj
 
@@ -213,18 +214,15 @@ class ExperimentReport(_Frozen):
 
 
 def _confusion(classes: np.ndarray, truth: np.ndarray, pred: np.ndarray) -> np.ndarray:
-    out = np.zeros((classes.size, classes.size), dtype=int)
-    index = {c: i for i, c in enumerate(classes)}
-    for t, q in zip(truth, pred):
-        out[index[t], index[q]] += 1
-    return out
+    k = classes.size  # every label is one of the classes
+    cells = np.searchsorted(classes, truth) * k + np.searchsorted(classes, pred)
+    return np.bincount(cells, minlength=k * k).reshape(k, k)
 
 
 def _pad_2d(proj: np.ndarray) -> np.ndarray:
-    if proj.shape[1] >= 2:
-        return proj[:, :2]
-    pad = np.zeros((proj.shape[0], 2 - proj.shape[1]))
-    return np.hstack([proj, pad])
+    out = np.zeros((proj.shape[0], 2))
+    out[:, : proj.shape[1]] = proj[:, :2]
+    return out
 
 
 def run_experiment(
@@ -242,30 +240,29 @@ def run_experiment(
     if seed is not None:
         gen = dataclasses.replace(gen, seed=seed)
     signals = generate_dataset(gen)
-    index = np.arange(len(signals))
-    train_idx, test_idx = index % 2 == 0, index % 2 == 1
-    untrained = set(signals.labels.tolist()) - set(signals.labels[train_idx].tolist())
+    train, held_out = slice(0, None, 2), slice(1, None, 2)  # strided views: no row is copied
+    untrained = set(signals.labels.tolist()) - set(signals.labels[train].tolist())
     if untrained:  # a set, not np.setdiff1d, which imports numpy.ma (2 MB) on first use
         raise ValueError(f"class {min(untrained)} has no training signal: the split trains "
                          "on the even-indexed signals only")
-    results = {}
+    records = []
     for kind in FEATURE_KINDS:
         features = featurize(signals, kind, cfg)
-        model = fit_lda(features.subset(train_idx), lda_lambda)
-        test = features.subset(test_idx)
+        model = fit_lda(features.subset(train), lda_lambda)
+        test = features.subset(held_out)
         pred = model.predict(test.rows)
-        accuracy = float(np.mean(pred == test.labels))
-        confusion = _confusion(model.classes, test.labels, pred)
-        projections = _pad_2d(model.transform(test.rows))
-        results[kind] = (accuracy, confusion, projections, test.labels)
+        records.append((float(np.mean(pred == test.labels)),
+                        _confusion(model.classes, test.labels, pred),
+                        _pad_2d(model.transform(test.rows))))
+    (acc_signal, conf_signal, proj_signal), (acc_scdt, conf_scdt, proj_scdt) = records
     return ExperimentReport(
-        accuracy_signal_space=results["raw_signal"][0],
-        accuracy_scdt_space=results["scdt"][0],
-        confusion_signal=results["raw_signal"][1],
-        confusion_scdt=results["scdt"][1],
-        projections_signal=results["raw_signal"][2],
-        projections_scdt=results["scdt"][2],
-        test_labels=results["scdt"][3],
+        accuracy_signal_space=acc_signal,
+        accuracy_scdt_space=acc_scdt,
+        confusion_signal=conf_signal,
+        confusion_scdt=conf_scdt,
+        projections_signal=proj_signal,
+        projections_scdt=proj_scdt,
+        test_labels=signals.labels[held_out],
         seed=gen.seed,
         gen_config=gen,
         n_quantiles=cfg.n_quantiles,

@@ -138,9 +138,12 @@ def seed_override_from_env(env: Optional[Dict[str, str]] = None) -> Optional[int
     if raw == "":
         return None
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError as exc:
         raise ParseError(f"SCDT_SEED must be an integer, got {raw!r}") from exc
+    if seed < 0:
+        raise ParseError(f"SCDT_SEED: seed must be a nonnegative whole number, got {seed}")
+    return seed
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -376,3 +376,22 @@ def preimage_by_branches(g, y):
         out[mid] = np.where(ya[mid] == g.ys[jm], g.xs[jm], _along(
             g.xs[jm - 1], g.ys[jm - 1], ya[mid], g.slopes[jm - 1], divide=True))
     return _like(y, out)
+
+
+def confusion_by_loop(classes, truth, pred) -> np.ndarray:
+    """The (true class, predicted class) counts, one increment per test row
+    through a dict from class id to its row and column."""
+    out = np.zeros((classes.size, classes.size), dtype=int)
+    index = {c: i for i, c in enumerate(classes)}
+    for t, q in zip(truth, pred):
+        out[index[t], index[q]] += 1
+    return out
+
+
+def pad_2d_by_branch(proj) -> np.ndarray:
+    """The first two columns of ``proj``, or all of them followed by zero
+    columns up to two."""
+    if proj.shape[1] >= 2:
+        return proj[:, :2]
+    pad = np.zeros((proj.shape[0], 2 - proj.shape[1]))
+    return np.hstack([proj, pad])

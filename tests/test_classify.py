@@ -13,15 +13,20 @@ from hypothesis import strategies as st
 
 from conftest import gen_configs
 from oracles import (
+    confusion_by_loop,
     lda_explicit_q,
     lda_extended_precision,
     lda_primal,
+    pad_2d_by_branch,
     regularization_by_class_loop,
 )
+from scdt import classify
 from scdt.classify import (
     FEATURE_KINDS,
     FeatureMatrix,
     _apply_q,
+    _confusion,
+    _pad_2d,
     featurize,
     fit_lda,
     run_experiment,
@@ -166,6 +171,18 @@ class TestFeaturize:
         assert got.feature_kind == want.feature_kind == kind
         for a, b in ((got.rows, want.rows), (got.labels, want.labels)):
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert not a.flags.writeable
+
+    @given(gen_configs(), st.sampled_from(FEATURE_KINDS), st.integers(0, 3),
+           st.integers(1, 3))
+    def test_slice_subset_is_a_read_only_view_of_the_rows(self, gen, kind, start, step):
+        features = featurize(generate_dataset(gen), kind, TransformConfig(n_quantiles=8))
+        got = features.subset(slice(start, None, step))
+        for a, b in ((got.rows, features.rows), (got.labels, features.labels)):
+            want = b[start::step]
+            assert a.dtype == want.dtype and a.shape == want.shape
+            assert a.tobytes() == want.tobytes()
+            assert a.size == 0 or np.shares_memory(a, b)
             assert not a.flags.writeable
 
 
@@ -347,6 +364,14 @@ class TestFitLda:
         assert model.projection.shape == (3, 0)
         assert np.array_equal(model.predict(np.ones((4, 3))), [2, 2, 2, 2])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rows_without_a_direction_are_still_checked(self, bad):
+        # With no direction kept the projection has no value to check: the rows are checked.
+        model = fit_lda(FeatureMatrix(np.ones((6, 3)), [2, 2, 3, 3, 5, 5], "raw_signal"))
+        for method in (model.transform, model.predict):
+            with pytest.raises(ValueError, match="rows must be finite"):
+                method(np.array([[bad, 0.0, 0.0]]))
+
     def test_projection_rank_bounded_by_classes_minus_one(self):
         rng = np.random.default_rng(1)
         train = self.separated_blobs(rng)
@@ -405,6 +430,14 @@ class TestFitLda:
         with np.errstate(over="ignore", under="ignore"):
             with pytest.raises(ValueError, match="out of range"):
                 fit_lda(scaled)
+
+    def test_overflowing_reduced_problem_raises_value_error(self):
+        # No within-class scatter leaves the absolute ridge 1e-6; classes 1e160 apart
+        # then overflow only the small between-class problem, past every earlier check.
+        rows = np.array([[0.0], [0.0], [1e160], [1e160]])
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="^feature values are out of range"):
+                fit_lda(FeatureMatrix(rows, [0, 0, 1, 1], "raw_signal"))
 
 
 class TestApplyQ:
@@ -555,11 +588,58 @@ class TestFitLdaAgainstExtendedPrecision:
         assert np.max(np.abs(got * signs - want)) <= 5e-8 * np.max(np.abs(want))
 
 
+class TestReportHelpers:
+    @given(st.data())
+    def test_confusion_equals_the_loop(self, data):
+        ids = sorted(data.draw(st.sets(st.integers(-9, 9), min_size=2, max_size=5)))
+        unpredicted = data.draw(st.sampled_from(ids))
+        n = data.draw(st.integers(0, 20))
+        truth = data.draw(st.lists(st.sampled_from(ids), min_size=n, max_size=n))
+        pred = data.draw(st.lists(st.sampled_from([c for c in ids if c != unpredicted]),
+                                  min_size=n, max_size=n))
+        classes = np.array(ids)
+        truth, pred = np.array(truth, dtype=int), np.array(pred, dtype=int)
+        got, want = _confusion(classes, truth, pred), confusion_by_loop(classes, truth, pred)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert not got[:, ids.index(unpredicted)].any()
+
+    @given(st.integers(0, 6), st.integers(0, 3), st.data())
+    def test_pad_2d_equals_the_branch(self, n, k, data):
+        proj = np.array(data.draw(st.lists(st.floats(), min_size=n * k, max_size=n * k)),
+                        dtype=float).reshape(n, k)
+        got, want = _pad_2d(proj), pad_2d_by_branch(proj)
+        assert got.dtype == want.dtype and got.shape == want.shape == (n, 2)
+        assert got.tobytes() == want.tobytes()
+
+
 class TestRunExperiment:
     def small(self, **kw) -> GenConfig:
         base = dict(per_class=(8, 8, 8), n_grid=128, noise_sigma=0.0)
         base.update(kw)
         return GenConfig(**base)
+
+    def test_split_is_two_strided_views_of_the_features(self, monkeypatch):
+        featurized, trained = [], []
+        real_featurize, real_fit = classify.featurize, classify.fit_lda
+
+        def spy_featurize(*args):
+            featurized.append(real_featurize(*args))
+            return featurized[-1]
+
+        def spy_fit(train, lda_lambda):
+            trained.append(train)
+            return real_fit(train, lda_lambda)
+
+        monkeypatch.setattr(classify, "featurize", spy_featurize)
+        monkeypatch.setattr(classify, "fit_lda", spy_fit)
+        report = run_experiment(self.small(n_grid=32), TransformConfig(n_quantiles=16))
+        assert len(featurized) == len(trained) == len(FEATURE_KINDS)
+        for features, train in zip(featurized, trained):
+            assert np.shares_memory(train.rows, features.rows)
+            assert train.rows.strides[0] == 2 * features.rows.strides[0]
+            assert np.array_equal(train.labels, features.labels[::2])
+        assert np.array_equal(report.test_labels, featurized[-1].labels[1::2])
 
     def test_split_counts_and_confusions(self):
         gen = self.small()

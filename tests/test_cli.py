@@ -83,6 +83,19 @@ class TestTransformInverse:
         assert main(["inverse", "--input", tj, "--output", str(tmp_path / "o.csv"),
                      "--grid", "0,2"]) == 2
 
+    @pytest.mark.parametrize("grid, message", [
+        ("0,1,4.5", "--grid must be t0,t1,N, got '0,1,4.5'"),
+        ("0,1,0", "need finite t0 < t1 and n_bins >= 1"),
+    ], ids=["fractional-N", "zero-N"])
+    def test_bad_grid_count_exit_2(self, tmp_path, capsys, signal_csv, grid, message):
+        src = signal_csv("in.csv", self.SAMPLES)
+        tj = str(tmp_path / "t.json")
+        main(["transform", "--input", src, "--output", tj])
+        assert main(["inverse", "--input", tj, "--output", str(tmp_path / "o.csv"),
+                     f"--grid={grid}"]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_out_of_range_grid_exit_4(self, tmp_path, signal_csv):
         src = signal_csv("in.csv", self.SAMPLES)
         tj = str(tmp_path / "t.json")
@@ -266,7 +279,9 @@ class TestGenerate:
         assert f"{cfg}: seed must be a nonnegative whole number, got -1" in capsys.readouterr().err
         monkeypatch.setenv("SCDT_SEED", "-1")
         assert main([command, "--config", self.config(tmp_path), *outputs]) == 2
-        assert "seed must be a nonnegative whole number, got -1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "seed must be a nonnegative whole number, got -1" in err
+        assert "SCDT_SEED" in err
         assert not any(tmp_path.glob("[drp]*"))
 
     def test_unknown_config_key_exit_2(self, tmp_path):

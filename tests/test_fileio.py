@@ -172,6 +172,19 @@ class TestTransformJson:
         back, _ = read_transform_json(path)
         assert np.array_equal(back.plus.samples, t.plus.samples)
 
+    def test_infinite_samples_of_both_signs_come_back_bit_for_bit(self, tmp_path):
+        t = ScdtResult(
+            CdtResult(np.array([-np.inf, -0.0, 1.5, np.inf]), 0.75),
+            CdtResult(np.array([-np.inf, -np.inf, 2.0, np.inf]), 1e-300),
+        )
+        cfg = TransformConfig(n_quantiles=4)
+        path = tmp_path / "t.json"
+        write_transform_json(path, t, cfg)
+        back, _ = read_transform_json(path)
+        for got, want in ((back.plus, t.plus), (back.minus, t.minus)):
+            assert got.samples.tobytes() == want.samples.tobytes()
+            assert got.mass == want.mass
+
     def tampered(self, tmp_path, mutate):
         t, cfg = self.make_transform()
         path = tmp_path / "t.json"
@@ -221,6 +234,16 @@ class TestTransformJson:
 
         with pytest.raises(ParseError):
             read_transform_json(self.tampered(tmp_path, mutate))
+
+    def test_part_that_is_not_an_object(self, tmp_path):
+        path = self.tampered(tmp_path, lambda o: o.update(plus=[1.0, 2.0]))
+        with pytest.raises(ParseError, match="^plus: expected an object$"):
+            read_transform_json(path)
+
+    def test_fewer_than_two_quantile_levels(self, tmp_path):
+        path = self.tampered(tmp_path, lambda o: o.update(quantiles=[0.5]))
+        with pytest.raises(ParseError, match="need at least two quantile levels"):
+            read_transform_json(path)
 
     def test_invalid_json_and_wrong_top_level(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -313,7 +336,12 @@ class TestSeedOverride:
 
     def test_integer_value(self):
         assert seed_override_from_env({"SCDT_SEED": "42"}) == 42
-        assert seed_override_from_env({"SCDT_SEED": "-3"}) == -3
+        assert seed_override_from_env({"SCDT_SEED": "0"}) == 0
+
+    def test_negative_value_names_the_variable(self):
+        with pytest.raises(ParseError, match="^SCDT_SEED: seed must be a nonnegative whole "
+                                             "number, got -3$"):
+            seed_override_from_env({"SCDT_SEED": "-3"})
 
     def test_junk_raises(self):
         with pytest.raises(ParseError):

@@ -54,6 +54,14 @@ class TestDiscreteMeasure:
         with pytest.raises(ValueError):
             DiscreteMeasure(np.array([float("nan")]), np.array([1.0]))
 
+    def test_unequal_lengths_rejected(self):
+        message = "^locations and weights must be 1-D arrays of equal length$"
+        for build in (DiscreteMeasure, DiscreteMeasure.from_atoms):
+            with pytest.raises(ValueError, match=message):
+                build(np.array([0.0, 1.0]), np.array([1.0]))
+            with pytest.raises(ValueError, match=message):
+                build(np.zeros((2, 1)), np.ones((2, 1)))
+
     def test_total_mass_consistency_enforced(self):
         DiscreteMeasure(np.array([0.0]), np.array([2.0]), total_mass=2.0)
         with pytest.raises(ValueError):
@@ -468,6 +476,14 @@ class TestPushforward:
         with pytest.raises(ValueError):
             pushforward(np.array([1.0, 0.0]), 1.0)
 
+    @pytest.mark.parametrize("samples, message", [
+        (np.zeros((2, 2)), "^samples must be a non-empty 1-D array$"),
+        (np.array([0.0, np.nan, 1.0]), "^samples must not contain NaN$"),
+    ], ids=["2-D", "nan"])
+    def test_rejects_malformed_samples(self, samples, message):
+        with pytest.raises(ValueError, match=message):
+            pushforward(samples, 1.0)
+
     def test_rejects_negative_mass(self):
         with pytest.raises(ValueError):
             pushforward(np.zeros(4), -1.0)
@@ -541,6 +557,12 @@ class TestRebin:
     def test_n_bins_must_be_a_whole_number(self, n_bins):
         with pytest.raises(ValueError, match="n_bins must be a whole number"):
             rebin(SignedMeasure.zero(), 0.0, 1.0, n_bins)
+
+    @pytest.mark.parametrize("t0, t1, n_bins", [(1.0, 1.0, 4), (2.0, 1.0, 4), (0.0, 1.0, 0)],
+                             ids=["empty", "reversed", "no-bins"])
+    def test_grid_must_be_an_interval_with_bins(self, t0, t1, n_bins):
+        with pytest.raises(ValueError, match=r"^need finite t0 < t1 and n_bins >= 1$"):
+            rebin(SignedMeasure.zero(), t0, t1, n_bins)
 
     def test_atom_on_right_edge_kept_in_last_bin(self):
         m = SignedMeasure(

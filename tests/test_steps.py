@@ -162,6 +162,16 @@ class TestStepValidation:
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             StepFunction(np.array([0.0]), np.array([0.0, float("nan")]))
+        with pytest.raises(ValueError, match="^value_at_pos_inf must not be NaN$"):
+            StepFunction(np.array([0.0]), np.array([0.0, 1.0]), value_at_pos_inf=float("nan"))
+
+    @pytest.mark.parametrize("bp, vals", [
+        (np.zeros((1, 1)), np.array([0.0, 1.0])),
+        (np.array([0.0]), np.array([[0.0, 1.0]])),
+    ], ids=["2-D breakpoints", "2-D values"])
+    def test_two_dimensional_arrays_rejected(self, bp, vals):
+        with pytest.raises(ValueError, match="^breakpoints and values must be one-dimensional$"):
+            StepFunction(bp, vals)
 
     def test_arrays_frozen(self):
         f = StepFunction(np.array([0.0]), np.array([0.0, 1.0]))
