@@ -319,6 +319,9 @@ def _rebin(scdt, ctx):
                                     ("both", (part, shifted))):
             yield f"rebin/{name}/{side}", ERRORS, lambda: scdt.rebin(
                 scdt.SignedMeasure(plus, minus), 0.0, 4.0, 8).samples
+    # Mass 1e10 over a bin width of 2.5e-301: the density overflows float64.
+    huge = scdt.SignedMeasure(scdt.DiscreteMeasure([1e-301], [1e10]), scdt.DiscreteMeasure.zero())
+    yield "rebin/overflow", PLAIN, lambda: scdt.rebin(huge, 0.0, 1e-300, 4).samples
 
 
 def _metrics(scdt, ctx):
@@ -589,6 +592,15 @@ def _fit_lda(scdt, ctx):
         yield f"fit_lda/{name}", PLAIN, lambda: (model.predict(test_rows),
                                                  model.projection.shape[1], model.regularization)
         yield f"fit_lda/{name}/projection", PLAIN, lambda: model.projection
+    # Scatter whose trace underflows to 0, and no scatter with classes 1e160 apart.
+    train, test_rows = fits["n-above-p"]
+    tiny = scdt.classify.FeatureMatrix(train.rows * 1e-300, train.labels, "raw_signal")
+    yield "fit_lda/tiny-scatter", PLAIN, lambda: scdt.classify.fit_lda(tiny).predict(
+        test_rows * 1e-300)
+    apart = scdt.classify.FeatureMatrix(np.array([[0.0], [0.0], [1e160], [1e160]]),
+                                        [0, 0, 1, 1], "raw_signal")
+    yield "fit_lda/no-scatter-overflow", ERRORS, lambda: scdt.classify.fit_lda(
+        apart).regularization
 
 
 #: The key groups, run in this order: (key prefixes, generator of (key, mode, call),
@@ -605,13 +617,15 @@ GROUPS = (
     (("large/", "memo/d_s/"), _large, "4e5-bin densities at M = 2^17, transformed and compared"),
     (("quantiles/",), _quantiles, "measure_quantiles at edge levels, of atoms and density parts"),
     (("support_gap/", "inverse/"), _collisions, "supports that (nearly) collide, also at +-inf"),
-    (("rebin/",), _rebin, "rebin of parts lying off [0, 4] or at +-inf at an end atom"),
+    (("rebin/",), _rebin,
+     "rebin of parts lying off [0, 4] or at +-inf at an end atom, and of a density that overflows"),
     (("d_w2/", "w2/", "d_s/", "transform_l2/", "extreme/"), _metrics,
      "the metrics with zero parts, and where distances or gaps leave float64"),
     (("reference/", "reparam/pwl/"), _inverses, "reference quantiles and inverses of warps"),
     (("steps/",), _steps, "geninv, compose and cdf; each evaluator at extreme probes"),
     (("objects/",), _objects, "the stored state of each dataclass and result site, and copies"),
-    (("fit_lda/",), _fit_lda, "predictions, rank, regularization and projection of fit_lda"),
+    (("fit_lda/",), _fit_lda,
+     "predictions, rank, regularization and projection of fit_lda, and scatter out of range"),
 )
 
 

@@ -151,7 +151,8 @@ def fit_lda(train: FeatureMatrix, lda_lambda: float = DEFAULT_LDA_LAMBDA) -> Lda
     centred = class_means[inverse]  # one n x p buffer, X minus each row's class mean
     np.subtract(X, centred, out=centred)
     trace = float(np.vdot(centred, centred))
-    lam_eff = lda_lambda * trace / p if trace > 0 else float(lda_lambda)
+    # Zero scatter takes the absolute ridge; scatter that underflows to 0 is out of range.
+    lam_eff = lda_lambda * trace / p if trace > 0 or np.any(centred) else float(lda_lambda)
     if not 0 < lam_eff < np.inf:
         raise ValueError("feature values are out of range: the scatter over- or underflows")
     h, tau = np.linalg.qr(np.subtract(X, mu, out=centred).T, mode="raw")  # the buffer, reused
@@ -164,7 +165,8 @@ def fit_lda(train: FeatureMatrix, lda_lambda: float = DEFAULT_LDA_LAMBDA) -> Lda
     reduced = coords.T @ coords
     reduced[np.diag_indices_from(reduced)] += lam_eff
     solved = np.linalg.solve(reduced, between)
-    small = between.T @ solved
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        small = between.T @ solved
     if not np.all(np.isfinite(small)):
         raise ValueError("feature values are out of range: the scatter over- or underflows")
     eigvals, eigvecs = np.linalg.eigh(small)

@@ -162,28 +162,31 @@ def _build_parser() -> argparse.ArgumentParser:
         help="reference measure: uniform:a,b or pwl:x0,y0;x1,y1;... (default uniform:0,1)",
     )
     p.add_argument("--quantiles", type=int, default=DEFAULT_N_QUANTILES, help="quantile grid size")
+    p.set_defaults(run=_cmd_transform)
 
     p = sub.add_parser("inverse", help="invert a transform JSON back to a signal CSV")
     p.add_argument("--input", required=True, help="transform JSON")
     p.add_argument("--output", required=True, help="signal CSV to write")
     p.add_argument("--grid", required=True, help="output grid as t0,t1,N")
+    p.set_defaults(run=_cmd_inverse)
 
     p = sub.add_parser("distance", help="transport distance between two signals")
     p.add_argument("--a", required=True, help="first signal CSV")
     p.add_argument("--b", required=True, help="second signal CSV")
     p.add_argument("--metric", choices=("w2", "dw2", "ds"), default="ds")
     p.add_argument("--quantiles", type=int, default=DEFAULT_N_QUANTILES)
+    p.set_defaults(run=_cmd_distance)
 
     p = sub.add_parser("generate", help="write a synthetic labeled dataset")
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--outdir", required=True, help="directory for signal CSVs")
+    p.set_defaults(run=_cmd_generate)
 
-    p = sub.add_parser(
-        "classify-demo", help="run the linear-separability experiment"
-    )
+    p = sub.add_parser("classify-demo", help="run the linear-separability experiment")
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--report", required=True, help="report JSON to write")
     p.add_argument("--plots", required=True, help="plot-data CSV to write")
+    p.set_defaults(run=_cmd_classify_demo)
     return parser
 
 
@@ -272,19 +275,10 @@ def _cmd_classify_demo(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "transform": _cmd_transform,
-    "inverse": _cmd_inverse,
-    "distance": _cmd_distance,
-    "generate": _cmd_generate,
-    "classify-demo": _cmd_classify_demo,
-}
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))

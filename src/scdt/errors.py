@@ -2,6 +2,16 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "ScdtError",
+    "ParseError",
+    "InvalidReferenceError",
+    "SingularityError",
+    "RangeError",
+    "MetricDomainError",
+    "SingularityWarning",
+]
+
 
 class ScdtError(ValueError):
     """Base class for all errors raised by this package."""

@@ -338,7 +338,7 @@ def rebin(m: SignedMeasure, t0: float, t1: float, n_bins: int) -> GridDensity:
     mass per bin, divided by the bin width).
 
     Raises :class:`RangeError` for atoms outside the grid, including
-    infinite locations.
+    infinite locations, and for a density that overflows float64.
     """
     t0, t1 = float(t0), float(t1)
     n_bins = _whole(n_bins, "n_bins")
@@ -353,7 +353,12 @@ def rebin(m: SignedMeasure, t0: float, t1: float, n_bins: int) -> GridDensity:
         if locs[0] < t0 or locs[-1] > t1:
             raise RangeError(f"atoms outside the grid [{t0}, {t1}] cannot be rebinned")
     atoms = [(part.locations[None], part.weights) for part in parts]
-    return GridDensity(t0, t1, _deposit(atoms, t0, (t1 - t0) / n_bins, n_bins)[0])
+    width = (t1 - t0) / n_bins
+    with np.errstate(over="ignore"):
+        samples = _deposit(atoms, t0, width, n_bins)[0]
+    if not np.all(np.isfinite(samples)):
+        raise RangeError(f"cannot rebin: a bin's mass over the bin width {width} overflows")
+    return object.__new__(GridDensity)._store(t0=t0, t1=t1, samples=samples)
 
 
 def _deposit(parts, t0: float, width: float, n_bins: int) -> np.ndarray:

@@ -421,23 +421,25 @@ class TestFitLda:
         with pytest.raises(ValueError, match="lda_lambda must be finite and positive"):
             fit_lda(train, lda_lambda)
 
-    @pytest.mark.parametrize("scale", [1e200, 1e-160], ids=["overflow", "underflow"])
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e200, 1e-160, 1e-300],
+                             ids=["overflow", "underflow", "zero-trace"])
     def test_out_of_range_features_raise_value_error(self, scale):
         # At 1e200 the squared rows overflow the scatter; at 1e-160 they
-        # underflow to a zero ridge, which would leave it singular.
+        # underflow to a zero ridge, which would leave it singular; at 1e-300
+        # the trace itself is 0, which is not the absolute ridge of no scatter.
         blobs = self.separated_blobs(np.random.default_rng(0))
         scaled = FeatureMatrix(blobs.rows * scale, blobs.labels, "raw_signal")
-        with np.errstate(over="ignore", under="ignore"):
-            with pytest.raises(ValueError, match="out of range"):
-                fit_lda(scaled)
+        with pytest.raises(ValueError, match="out of range"):
+            fit_lda(scaled)
 
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_reduced_problem_raises_value_error(self):
         # No within-class scatter leaves the absolute ridge 1e-6; classes 1e160 apart
         # then overflow only the small between-class problem, past every earlier check.
         rows = np.array([[0.0], [0.0], [1e160], [1e160]])
-        with np.errstate(over="ignore"):
-            with pytest.raises(ValueError, match="^feature values are out of range"):
-                fit_lda(FeatureMatrix(rows, [0, 0, 1, 1], "raw_signal"))
+        with pytest.raises(ValueError, match="^feature values are out of range"):
+            fit_lda(FeatureMatrix(rows, [0, 0, 1, 1], "raw_signal"))
 
 
 class TestApplyQ:

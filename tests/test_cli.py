@@ -103,6 +103,17 @@ class TestTransformInverse:
         assert main(["inverse", "--input", tj, "--output", str(tmp_path / "o.csv"),
                      "--grid", "10,11,4"]) == 4
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_density_exit_4(self, tmp_path, capsys):
+        src = tmp_path / "in.csv"
+        src.write_text("0.0,1e300\n1.0,0.0\n")
+        tj = str(tmp_path / "t.json")
+        assert main(["transform", "--input", str(src), "--output", tj]) == 0
+        assert main(["inverse", "--input", tj, "--output", str(tmp_path / "o.csv"),
+                     "--grid=-1e-300,1e-300,1"]) == 4
+        assert "over the bin width 2e-300 overflows" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_overflowing_grid_span_exit_2(self, tmp_path, capsys, signal_csv):
         src = signal_csv("in.csv", self.SAMPLES)
         tj = str(tmp_path / "t.json")

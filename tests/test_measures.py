@@ -604,6 +604,13 @@ class TestRebin:
             with pytest.raises(RangeError, match=message):
                 rebin(m, 0.0, 1.0, 4)
 
+    @pytest.mark.filterwarnings("error")
+    def test_density_that_overflows_raises_range_error(self):
+        # Mass 1e10 over a bin width of 2.5e-301 overflows float64.
+        m = SignedMeasure(DiscreteMeasure([1e-301], [1e10]), DiscreteMeasure.zero())
+        with pytest.raises(RangeError, match="over the bin width 2.5e-301 overflows"):
+            rebin(m, 0.0, 1e-300, 4)
+
     def test_atoms_on_both_grid_edges_kept(self):
         m = SignedMeasure(DiscreteMeasure(np.array([0.0, 0.5, 1.0]), np.ones(3)),
                           DiscreteMeasure(np.array([0.125, 0.875]), np.ones(2)))

@@ -592,6 +592,21 @@ DATACLASSES = {
     and cls.__module__ == f"scdt.{info.name}"
 }
 
+#: The modules whose ``__all__`` the package re-exports, in order.
+LIBRARY_MODULES = ("errors", "steps", "measures", "transform", "metrics", "genmodel", "classify")
+
+
+def test_package_surface_is_the_library_modules_all():
+    modules = [importlib.import_module(f"scdt.{name}") for name in LIBRARY_MODULES]
+    assert all(hasattr(module, "__all__") for module in modules)
+    assert scdt.__all__ == [name for module in modules for name in module.__all__]
+    assert len(set(scdt.__all__)) == len(scdt.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(scdt, name) is getattr(module, name), name
+    for name in ("fileio", "cli"):
+        assert not set(importlib.import_module(f"scdt.{name}").__all__) & set(scdt.__all__)
+
 
 def _held(obj):
     """``obj`` and every dataclass and array in its fields, nested ones included."""
