@@ -24,6 +24,7 @@ import contextlib
 import copy
 import dataclasses
 import functools
+import importlib.util
 import io
 import json
 import math
@@ -153,6 +154,9 @@ def _edge_cases(scdt, ctx):
     for name, scales in (("1e-320", [1e-320] * 4), ("1e300", [1e300] * 4),
                          ("mixed", [1e-320, 1e-305, 1.0, 1e300])):
         yield f"featurize/extreme/{name}", ERRORS, lambda: extreme(scales)
+    yield "featurize/extreme/subnormal-weight", ERRORS, lambda: scdt.featurize(
+        [(0, scdt.GridDensity(0.0, 0.125, np.array([4.357289704339519e-308])))], "scdt",
+        scdt.TransformConfig()).rows
     # Neighbouring bin centres collide: one atom per colliding pair must equal the
     # per-signal transform; next to a row whose atoms collide, featurize raises.
     collide = [(0, scdt.GridDensity(1e16, 1e16 + 8, np.array([1.0, 0, -2, 0, 3, 0, 0, 0]))),
@@ -208,6 +212,35 @@ def _overflow(scdt, ctx):
     yield "grid/span-overflow/cli-generate", ERRORS, generate
     yield "measure/total-overflow", ERRORS, lambda: scdt.DiscreteMeasure(
         np.array([0.0, 1.0]), np.array([1e308, 1e308])).total_mass
+    # The weight, the sample over 8, is subnormal.
+    subnormal = scdt.GridDensity(0.0, 0.125, np.array([4.357289704339519e-308]))
+    yield "measure/subnormal-weight", ERRORS, lambda: [
+        (p.locations, p.weights, p.total_mass)
+        for p in operator.attrgetter("positive_part", "negative_part")(
+            scdt.measure_from_density(subnormal))]
+
+    # A 400-digit integer, beyond float64, as a transform mass and as a config value.
+    long_integer = 10**399
+
+    def long_inverse():
+        tj = os.path.join(ctx.tmp, "long.json")
+        cfg = scdt.TransformConfig(n_quantiles=8)
+        scdt.fileio.write_transform_json(tj, scdt.scdt_forward(one, cfg), cfg)
+        with open(tj, encoding="utf-8") as fh:
+            obj = json.load(fh)
+        obj["plus"]["mass"] = long_integer
+        with open(tj, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+        return cli(["inverse", "--input", tj, "--output", os.path.join(ctx.tmp, "long.csv"),
+                    "--grid", "0,2,8"])
+
+    def long_generate():
+        cfg = os.path.join(ctx.tmp, "long-config.json")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            json.dump({"noise_sigma": long_integer, "per_class": 1, "n_grid": 4}, fh)
+        return cli(["generate", "--config", cfg, "--outdir", os.path.join(ctx.tmp, "long")])
+    yield "json/long-integer/cli-inverse", ERRORS, long_inverse
+    yield "json/long-integer/cli-generate", ERRORS, long_generate
 
 
 def _large(scdt, ctx):
@@ -449,7 +482,20 @@ def _random_map(scdt, rng, flat):
     return scdt.PiecewiseLinearMap(xs, np.concatenate(([0.0], np.cumsum(rises))) - 1.0)
 
 
+def _cdf(scdt):
+    """``scdt.cdf``, or, where the package no longer has it, the ``cdf`` of the
+    checkout's own ``tests/oracles.py``."""
+    if hasattr(scdt, "cdf"):
+        return scdt.cdf
+    path = os.path.join(os.path.dirname(scdt.__file__), "..", "..", "tests", "oracles.py")
+    spec = importlib.util.spec_from_file_location("oracles", path)
+    oracles = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracles)
+    return oracles.cdf
+
+
 def _steps(scdt, ctx):
+    cdf = _cdf(scdt)
     rng = np.random.default_rng(21)
     for k in range(60):
         f = _random_step(scdt, rng)
@@ -469,15 +515,15 @@ def _steps(scdt, ctx):
         ends = [(), (-np.inf,), (np.inf,), (-np.inf, np.inf)][k % 4]
         locs = np.unique(np.concatenate((locs, ends)))
         w = rng.exponential(size=locs.size) * 10.0 ** rng.integers(-300, 300)
-        yield f"steps/cdf/{k}", PLAIN, lambda: _step(scdt.cdf(scdt.DiscreteMeasure(locs, w)))
+        yield f"steps/cdf/{k}", PLAIN, lambda: _step(cdf(scdt.DiscreteMeasure(locs, w)))
     for k in range(20):
         samples = np.sort(rng.choice((-np.inf, 0.0, 1.0, 2.0, np.inf), int(rng.integers(1, 9))))
         mass = float(rng.uniform(0.01, 10.0))
         yield (f"steps/cdf/pushforward/{k}", PLAIN,
-               lambda: _step(scdt.cdf(scdt.pushforward(samples, mass))))
+               lambda: _step(cdf(scdt.pushforward(samples, mass))))
     # Its weights sum one ulp above its stored mass.
     yield "steps/cdf/pushforward/ulp", PLAIN, lambda: _step(
-        scdt.cdf(scdt.pushforward(np.array([0.0, 0.0, np.inf]), 0.10794165049342948)))
+        cdf(scdt.pushforward(np.array([0.0, 0.0, np.inf]), 0.10794165049342948)))
     probes = np.array([-np.inf, -1e308, -2.5, -1.0, -5e-324, -0.0, 0.0, 5e-324,
                        0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 1e308, np.inf])
     f = scdt.StepFunction(np.array([-1.0, 0.0, 1.0, 2.0]),
@@ -612,8 +658,9 @@ GROUPS = (
      "templates, and run_experiment, its dataset and features on each default seed"),
     (("experiment/", "dataset/", "featurize/"), _edge_cases,
      "configs, scales and grids that fail, stress the pipeline or leave float64"),
-    (("csv/overflow/", "grid/span-overflow/", "measure/"), _overflow,
-     "spans and total masses beyond float64, in arrays, files and the CLI"),
+    (("csv/overflow/", "grid/span-overflow/", "measure/", "json/"), _overflow,
+     "spans, total masses, subnormal weights and JSON integers beyond float64, in arrays, "
+     "files and the CLI"),
     (("large/", "memo/d_s/"), _large, "4e5-bin densities at M = 2^17, transformed and compared"),
     (("quantiles/",), _quantiles, "measure_quantiles at edge levels, of atoms and density parts"),
     (("support_gap/", "inverse/"), _collisions, "supports that (nearly) collide, also at +-inf"),

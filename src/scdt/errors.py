@@ -32,7 +32,8 @@ class SingularityError(ScdtError):
 class RangeError(ScdtError):
     """Atoms fall outside the requested grid (including infinite locations), or atoms do not
     fit in floating point: weights that underflow to 0 or overflow (a density's, or mass / M
-    on inversion), bin centres that collide, or a part mass that overflows."""
+    on inversion), a density's weight below the smallest normal float, bin centres that
+    collide, or a part mass that overflows."""
 
 
 class MetricDomainError(ScdtError):

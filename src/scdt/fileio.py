@@ -61,11 +61,18 @@ def _decode_array(v: Any, what: str) -> np.ndarray:
     return np.array([_decode_float(x, what) for x in v], dtype=float)
 
 
+def _json_int(text: str) -> Union[int, float]:
+    """A JSON integer literal as an int, or as the signed infinity where float64
+    cannot hold it, as ``1e999`` reads."""
+    value = float(text)
+    return int(text) if math.isfinite(value) else value
+
+
 def _read_json_object(path: Union[str, os.PathLike]) -> Dict[str, Any]:
     """The JSON object in the file at ``path``, else :class:`ParseError`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, parse_int=_json_int)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

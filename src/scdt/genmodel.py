@@ -25,7 +25,7 @@ from .measures import (
 )
 from .errors import RangeError, ScdtError
 from .steps import ArrayLike, PiecewiseLinearMap, _Frozen, _along, _like, _whole
-from .transform import CdtResult, ScdtResult, TransformConfig, scdt_forward
+from .transform import CdtResult, ScdtResult
 
 __all__ = [
     "IncreasingReparam",
@@ -36,7 +36,6 @@ __all__ = [
     "apply_reparam",
     "predict_transform_under_reparam",
     "generate_dataset",
-    "convexity_probe",
 ]
 
 
@@ -325,33 +324,3 @@ def _warp_and_rebin(
     atoms = [(pos_locs, pos.weights), (neg_locs, neg.weights)]
     out[exact] += _deposit(atoms, t0, (t1 - t0) / n, n)
     return exact
-
-
-def convexity_probe(
-    nu: SignedMeasure,
-    g: IncreasingReparam,
-    h: IncreasingReparam,
-    alpha: float,
-    cfg: TransformConfig,
-) -> ScdtResult:
-    """The convex combination ``alpha * T(nu o g) + (1 - alpha) * T(nu o h)``
-    of two reparameterized transforms.
-
-    For reparameterization families whose inverses form a convex set (affine
-    maps in particular) this combination is again the transform of a family
-    member — the one generated by the inverse of
-    ``alpha * g^-1 + (1 - alpha) * h^-1``.
-    """
-    alpha = float(alpha)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    tg = scdt_forward(apply_reparam(nu, g), cfg)
-    th = scdt_forward(apply_reparam(nu, h), cfg)
-
-    def blend(pg: CdtResult, ph: CdtResult) -> CdtResult:
-        return CdtResult(
-            alpha * pg.samples + (1.0 - alpha) * ph.samples,
-            alpha * pg.mass + (1.0 - alpha) * ph.mass,
-        )
-
-    return ScdtResult(blend(tg.plus, th.plus), blend(tg.minus, th.minus))

@@ -14,16 +14,13 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .errors import InvalidReferenceError, RangeError, SingularityError
-from .steps import (
-    ArrayLike, PiecewiseLinearMap, StepFunction, _Frozen, _geninv_search, _steps, _whole,
-)
+from .steps import ArrayLike, PiecewiseLinearMap, _Frozen, _geninv_search, _whole
 
 __all__ = [
     "DiscreteMeasure",
     "SignedMeasure",
     "GridDensity",
     "ReferenceMeasure",
-    "cdf",
     "measure_from_density",
     "pushforward",
     "rebin",
@@ -32,6 +29,10 @@ __all__ = [
 
 #: Relative slack allowed between a stored total mass and the sum of weights.
 MASS_RTOL = 1e-12
+
+#: The smallest normal float64: a weight below it holds fewer bits, so a density
+#: binned to such a weight would not rebin to itself.
+SMALLEST_NORMAL = np.finfo(float).tiny
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,17 +209,6 @@ class ReferenceMeasure(_Frozen):
         return self._cdf.preimage(pa * self.total_mass)
 
 
-def cdf(m: DiscreteMeasure) -> StepFunction:
-    """The right-continuous CDF ``F(x) = m([-inf, x])`` as a step function.
-
-    An atom at ``-inf`` lifts the head value; an atom at ``+inf`` appears only
-    in the value at the point ``+inf``, so ``F(+inf)`` is the stored total
-    mass (the value after the last finite atom where the stored mass rounds
-    below the summed weights).
-    """
-    return _steps(m.locations, np.cumsum(m.weights), 0.0, m.total_mass)
-
-
 def measure_from_density(d: GridDensity) -> SignedMeasure:
     """Convert a sampled density to a signed measure by midpoint binning:
     bin ``i`` contributes an atom at its center with weight
@@ -226,8 +216,8 @@ def measure_from_density(d: GridDensity) -> SignedMeasure:
     dropped, so the two parts are mutually singular by construction.
 
     Raises :class:`RangeError` where floating point cannot hold the atoms: a
-    weight that underflows to 0 or overflows, colliding bin centres, or a part
-    mass that overflows."""
+    weight that underflows to 0, falls below the smallest normal float or
+    overflows, colliding bin centres, or a part mass that overflows."""
     width = d.bin_width
     # Centre i, bin_centers()[i], is t0 + (i + 0.5) * width rounded twice and non-decreasing
     # in i; two centres can round to one float only if width is within a few ulps of them.
@@ -246,10 +236,12 @@ def measure_from_density(d: GridDensity) -> SignedMeasure:
             locations=centres, weights=w, total_mass=float(csum[-1])))
         if w.size:  # for the first measure_quantiles call on the part
             parts[-1].__dict__["_csum"] = csum
+    smallest = min(p.weights.min(initial=np.inf) for p in parts)
     for failed, cause in (
         (collide, "bin centres collide in floating point"),
-        (any(np.any(p.weights == 0) for p in parts),
-         "a nonzero density value times the bin width underflows to 0"),
+        (smallest == 0, "a nonzero density value times the bin width underflows to 0"),
+        (smallest < SMALLEST_NORMAL,
+         "a nonzero density value times the bin width falls below the smallest normal float"),
         (not all(np.all(np.isfinite(p.weights)) for p in parts),
          "a density value times the bin width overflows"),
         (not all(np.isfinite(p.total_mass) for p in parts), "the total mass of a part overflows"),

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import SingularityWarning
 from .measures import (
+    SMALLEST_NORMAL,
     DiscreteMeasure,
     GridDensity,
     ReferenceMeasure,
@@ -32,7 +33,6 @@ __all__ = [
     "TransformConfig",
     "CdtResult",
     "ScdtResult",
-    "cdt_probability",
     "cdt_positive",
     "scdt_forward",
     "scdt_forward_batch",
@@ -131,16 +131,6 @@ class ScdtResult(_Frozen):
         return self.plus.samples.size
 
 
-def cdt_probability(nu: DiscreteMeasure, cfg: TransformConfig) -> np.ndarray:
-    """Quantile samples of a probability measure: the generalized inverse CDF
-    evaluated at the reference's midpoint quantile levels."""
-    if abs(nu.total_mass - 1.0) > PROBABILITY_RTOL:
-        raise ValueError(
-            f"cdt_probability requires a probability measure, got mass {nu.total_mass}"
-        )
-    return measure_quantiles(nu, cfg.quantiles)
-
-
 def cdt_positive(nu: DiscreteMeasure, cfg: TransformConfig) -> CdtResult:
     """Transform of a finite positive measure: normalized quantile samples and
     the total mass; the zero measure maps to the (0, 0) convention.  ``nu``
@@ -203,11 +193,13 @@ def scdt_forward_batch(
     counts = np.ones((n_signals, 2, n_bins + 1), dtype=np.intp)
     # On a grid whose bin centres collide only the atoms of a row show whether it fails.
     suspect = np.full(n_signals, not np.all(centers[1:] > centers[:-1]))
+    # Weights measure_from_density refuses: below the smallest normal float, or overflowing.
+    unfit = (w < SMALLEST_NORMAL) | ~np.isfinite(w)
     for part, mask in enumerate((x > 0, x < 0)):
         with np.errstate(over="ignore"):
             c = np.cumsum(np.where(mask, w, 0.0), axis=1)
         total = c[:, -1]
-        suspect |= ~np.isfinite(total) | np.any(mask & ((w == 0) | ~np.isfinite(w)), axis=1)
+        suspect |= ~np.isfinite(total) | np.any(mask & unfit, axis=1)
         rows = np.any(mask, axis=1)
         # e[r, k] = #{j : q_j * total_r < c[r, k]}: the estimate c * M / total - 1/2,
         # rounded up, is stepped once towards the exact levels and confirmed there, so

@@ -4,6 +4,11 @@ Everything here is deliberately written the slow, literal way (linear scans,
 brute-force searches, generic LP solvers, a dense p x p Cholesky solve, an
 explicitly formed QR basis, an extended-precision Gram solve) so that
 agreement with the library is evidence rather than tautology.
+
+Three helpers built on the library live here too, because only the tests use
+them: ``cdf`` (a measure's CDF as a step function), ``cdt_probability`` (the
+transform of a probability measure) and ``convexity_probe`` (a convex blend
+of two reparameterized transforms).
 """
 
 from __future__ import annotations
@@ -14,8 +19,12 @@ from scipy.optimize import linprog
 
 from scdt.classify import LdaModel
 from scdt.errors import SingularityError
-from scdt.measures import DiscreteMeasure
-from scdt.steps import _along, _as_float_array, _like
+from scdt.genmodel import IncreasingReparam, apply_reparam
+from scdt.measures import DiscreteMeasure, SignedMeasure, measure_quantiles
+from scdt.steps import StepFunction, _along, _as_float_array, _like, _steps
+from scdt.transform import (
+    PROBABILITY_RTOL, CdtResult, ScdtResult, TransformConfig, scdt_forward,
+)
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -72,6 +81,27 @@ def quantile_scan(locations, weights, q: float) -> float:
 def cdf_scan(locations, weights, x: float) -> float:
     """Prefix-sum CDF oracle: total weight at locations ``<= x``."""
     return float(sum(w for loc, w in zip(locations, weights) if loc <= x))
+
+
+def cdf(m: DiscreteMeasure) -> StepFunction:
+    """The right-continuous CDF ``F(x) = m([-inf, x])`` as a step function.
+
+    An atom at ``-inf`` lifts the head value; an atom at ``+inf`` appears only
+    in the value at the point ``+inf``, so ``F(+inf)`` is the stored total
+    mass (the value after the last finite atom where the stored mass rounds
+    below the summed weights).
+    """
+    return _steps(m.locations, np.cumsum(m.weights), 0.0, m.total_mass)
+
+
+def cdt_probability(nu: DiscreteMeasure, cfg: TransformConfig) -> np.ndarray:
+    """Quantile samples of a probability measure: the generalized inverse CDF
+    evaluated at the reference's midpoint quantile levels."""
+    if abs(nu.total_mass - 1.0) > PROBABILITY_RTOL:
+        raise ValueError(
+            f"cdt_probability requires a probability measure, got mass {nu.total_mass}"
+        )
+    return measure_quantiles(nu, cfg.quantiles)
 
 
 def lp_w2(xs, ps, ys, qs) -> float:
@@ -260,12 +290,21 @@ def lda_extended_precision(X, y, lda_lambda: float) -> np.ndarray:
     return (C.T @ A @ eigvecs[:, order].astype(ld)) / np.sqrt(eigvals[order].astype(ld))
 
 
+def holds_subnormal_weight(d) -> bool:
+    """Whether some nonzero sample of the density times its bin width, one at a
+    time, falls below the smallest normal float."""
+    return any(0 < abs(v) * d.bin_width < np.finfo(float).tiny for v in d.samples.tolist())
+
+
 def measure_from_density_by_masks(d):
     """The two parts of a density's signed measure by boolean-mask gathers
     of ``bin_centers()`` and ``|samples| * bin_width``, each checked by the
     validating ``DiscreteMeasure`` constructor, then screened for a part mass
     that overflows and for parts that share a location (``intersect1d``).
-    Any fault raises ``ValueError``."""
+    Any fault raises ``ValueError``, and so does a weight below the smallest
+    normal float (``holds_subnormal_weight``)."""
+    if holds_subnormal_weight(d):
+        raise ValueError("a weight falls below the smallest normal float")
     centers = d.bin_centers()
     w = np.abs(d.samples) * d.bin_width
     parts = [DiscreteMeasure(centers[m], w[m]) for m in (d.samples > 0, d.samples < 0)]
@@ -395,3 +434,33 @@ def pad_2d_by_branch(proj) -> np.ndarray:
         return proj[:, :2]
     pad = np.zeros((proj.shape[0], 2 - proj.shape[1]))
     return np.hstack([proj, pad])
+
+
+def convexity_probe(
+    nu: SignedMeasure,
+    g: IncreasingReparam,
+    h: IncreasingReparam,
+    alpha: float,
+    cfg: TransformConfig,
+) -> ScdtResult:
+    """The convex combination ``alpha * T(nu o g) + (1 - alpha) * T(nu o h)``
+    of two reparameterized transforms.
+
+    For reparameterization families whose inverses form a convex set (affine
+    maps in particular) this combination is again the transform of a family
+    member — the one generated by the inverse of
+    ``alpha * g^-1 + (1 - alpha) * h^-1``.
+    """
+    alpha = float(alpha)
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0, 1]")
+    tg = scdt_forward(apply_reparam(nu, g), cfg)
+    th = scdt_forward(apply_reparam(nu, h), cfg)
+
+    def blend(pg: CdtResult, ph: CdtResult) -> CdtResult:
+        return CdtResult(
+            alpha * pg.samples + (1.0 - alpha) * ph.samples,
+            alpha * pg.mass + (1.0 - alpha) * ph.mass,
+        )
+
+    return ScdtResult(blend(tg.plus, th.plus), blend(tg.minus, th.minus))

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from conftest import gen_configs
 from oracles import (
     confusion_by_loop,
+    holds_subnormal_weight,
     lda_explicit_q,
     lda_extended_precision,
     lda_primal,
@@ -31,7 +32,7 @@ from scdt.classify import (
     fit_lda,
     run_experiment,
 )
-from scdt.errors import ScdtError
+from scdt.errors import RangeError, ScdtError
 from scdt.genmodel import GenConfig, generate_dataset
 from scdt.measures import GridDensity, measure_from_density
 from scdt import transform
@@ -246,33 +247,42 @@ class TestTransformKernel:
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
-    def test_rows_clamp_to_the_last_atom_of_each_part(self):
-        # With a subnormal part mass, q * total rounds up to the total for the
-        # upper levels, where the search runs past the last atom.
+    @pytest.mark.filterwarnings("error")
+    def test_rows_with_subnormal_weights_raise_the_per_signal_error(self):
+        # Weights of 5e-324 and 1e-323 on bins of width 1 are subnormal: each row raises
+        # the per-signal RangeError, and featurize raises the same.
         samples = np.array([5e-324, 0.0, -1e-323, 0.0, 5e-324, 0.0])
-        signals = [(0, GridDensity(0.0, 6.0, samples)), (1, GridDensity(0.0, 6.0, -samples))]
         cfg = TransformConfig(n_quantiles=8)
-        got = featurize(signals, "scdt", cfg).rows
-        assert got.tobytes() == per_signal_rows(signals, cfg).tobytes()
-        assert np.array_equal(got[0, :8], [0.5] * 2 + [4.5] * 6)
+        for signal in ((0, GridDensity(0.0, 6.0, samples)), (1, GridDensity(0.0, 6.0, -samples))):
+            with pytest.raises(RangeError, match="below the smallest normal float") as info:
+                per_signal_rows([signal], cfg)
+            with pytest.raises(RangeError, match=re.escape(str(info.value))):
+                featurize([signal], "scdt", cfg)
 
     @pytest.mark.filterwarnings("error")
     def test_rows_whose_levels_cannot_be_counted_are_searched(self, monkeypatch):
         # Part totals from subnormal to near overflow at M = 2^17 on bins of width 1.
         # Where M / total overflows the levels are not counted: the row is replayed.
+        # A row with a weight below the smallest normal float raises the per-signal error.
         rng = np.random.default_rng(7)
-        scales = [5e-324, 1e-320, 1e-310, 1e-305, 1e-300, 1.0, 1e300, 5e306]
+        scales = [5e-324, 1e-320, 1e-310, 1e-307, 1e-306, 1e-305, 1e-300, 1.0, 1e300, 5e306]
         rows = np.array([rng.choice((-1.0, 0.0, 1.0), size=24) * rng.uniform(1, 2, size=24) * a
                          for a in scales])
-        rows[1] = np.where(rows[1] > 0, 5e306, rows[1])  # beside a subnormal minus part
+        rows[4] = np.where(rows[4] > 0, 5e306, rows[4])  # beside a minus part too small to count
         assert np.all(np.any(rows > 0, axis=1) & np.any(rows < 0, axis=1))
         signals = [(i, GridDensity(-3.0, 21.0, row)) for i, row in enumerate(rows)]
         cfg = TransformConfig(n_quantiles=2**17)
+        assert [holds_subnormal_weight(d) for _, d in signals] == [True] * 3 + [False] * 7
+        for signal in signals[:3]:
+            with pytest.raises(RangeError, match="below the smallest normal float") as info:
+                per_signal_rows([signal], cfg)
+            with pytest.raises(RangeError, match=re.escape(str(info.value))):
+                featurize([signal], "scdt", cfg)
         replayed = replayed_rows(monkeypatch)
-        got = featurize(signals, "scdt", cfg).rows
-        # Both parts of rows 0, 2 and 3 and the minus part of row 1 cannot be counted.
-        assert np.array_equal(replayed, rows[:4])
-        assert got.tobytes() == per_signal_rows(signals, cfg).tobytes()
+        got = featurize(signals[3:], "scdt", cfg).rows
+        # Both parts of rows 3 and 5 and the minus part of row 4 cannot be counted.
+        assert np.array_equal(replayed, rows[3:6])
+        assert got.tobytes() == per_signal_rows(signals[3:], cfg).tobytes()
 
     def test_benchmark_rows_are_all_counted(self, monkeypatch):
         replayed = replayed_rows(monkeypatch)

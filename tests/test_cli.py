@@ -15,6 +15,9 @@ from scdt.fileio import read_signal_csv, write_signal_csv, write_transform_json
 from scdt.measures import GridDensity, ReferenceMeasure
 from scdt.transform import CdtResult, ScdtResult, TransformConfig
 
+#: A 400-digit integer, beyond float64: JSON readers take it as an int.
+LONG_INTEGER = 10**399
+
 
 @pytest.fixture
 def signal_csv(tmp_path):
@@ -142,6 +145,27 @@ class TestTransformInverse:
         assert main(["inverse", "--input", str(tj), "--output",
                      str(tmp_path / "o.csv"), "--grid", "0,2,4"]) == 4
         assert "mass / M underflows to 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, code, message",
+        [("mass", 2, "plus: mass must be finite and nonnegative"),
+         ("samples", 4, "cannot rebin atoms at +-inf onto a finite grid")],
+        ids=["mass", "last-sample"],
+    )
+    def test_long_integer_reads_as_inf(self, tmp_path, capsys, signal_csv, field, code, message):
+        # As 1e999 does: an infinite mass is refused, an infinite last sample is kept.
+        src = signal_csv("in.csv", self.SAMPLES)
+        tj = tmp_path / "t.json"
+        assert main(["transform", "--input", src, "--output", str(tj), "--quantiles", "8"]) == 0
+        obj = json.loads(tj.read_text())
+        if field == "mass":
+            obj["plus"]["mass"] = LONG_INTEGER
+        else:
+            obj["plus"]["samples"][-1] = LONG_INTEGER
+        tj.write_text(json.dumps(obj))
+        assert main(["inverse", "--input", str(tj), "--output",
+                     str(tmp_path / "o.csv"), "--grid", "0,2,8"]) == code
+        assert message in capsys.readouterr().err
 
     def test_tampered_version_exit_2(self, tmp_path, signal_csv):
         src = signal_csv("in.csv", self.SAMPLES)
@@ -294,6 +318,25 @@ class TestGenerate:
         assert "seed must be a nonnegative whole number, got -1" in err
         assert "SCDT_SEED" in err
         assert not any(tmp_path.glob("[drp]*"))
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"noise_sigma": LONG_INTEGER}, "noise_sigma must be nonnegative"),
+            ({"a_range": [0.75, LONG_INTEGER]},
+             "a_range must be a finite nonempty interval of finite width"),
+            ({"t0": -LONG_INTEGER}, "need finite t0 < t1"),
+            ({"seed": LONG_INTEGER}, "seed must be an integer, got inf"),
+        ],
+        ids=["noise_sigma", "a_range-entry", "t0-negative", "seed"],
+    )
+    def test_long_integer_reads_as_inf_exit_2(self, tmp_path, capsys, override, message):
+        # As 1e999 does: no config value may be infinite.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"per_class": 2, "n_grid": 16, **override}))
+        assert main(["generate", "--config", str(cfg), "--outdir", str(tmp_path / "d")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
 
     def test_unknown_config_key_exit_2(self, tmp_path):
         cfg = self.config(tmp_path, extra_knob=1)

@@ -2,7 +2,8 @@
 JSONs and experiment configs end in an exit code the README lists, and no
 exception escapes ``main``.  A number replaced by NaN, ``true``, a string or
 a nested list is refused in a signal CSV, a transform JSON or an experiment
-config (in a CSV or a config, ``1e999`` too), and so are a transform-JSON
+config (in a CSV or a config, ``1e999`` too, and in a config an integer
+beyond float64, which reads as inf), and so are a transform-JSON
 array of the wrong length, a CSV row with the wrong number of columns and a
 non-uniform ``t`` column.
 
@@ -31,8 +32,10 @@ README_EXIT_CODES = {0, 2, 3, 4, 5}
 SAMPLES = [1.0, 2.0, 0.0, -1.0, 0.0, 3.0, -2.0, 1.0]
 
 #: JSON text for the values that do not belong where a number does; inf is
-#: written as ``1e999``, which Python's JSON reader and ``float`` read as inf.
-POISONS = ["NaN", "1e999", "true", '"x"', "[[1.0]]"]
+#: written as ``1e999``, which Python's JSON reader and ``float`` read as inf,
+#: and as a 400-digit integer, which the package's JSON reader takes as inf too.
+LONG_INTEGER = "1" + "0" * 399
+POISONS = ["NaN", "1e999", LONG_INTEGER, "true", '"x"', "[[1.0]]"]
 
 CONFIG = {
     "t0": -0.5, "t1": 5.0, "n_grid": 16, "a_range": [0.75, 2.0], "b_range": [-0.25, 0.25],
@@ -151,7 +154,8 @@ def test_hostile_files_exit_with_a_listed_code(workdir, data, kind, damage, vari
         else:
             text, poison = data.draw(mutated_json(json.loads(base)))
             # inf is a valid transform sample; no config value may be poisoned.
-            must_refuse = poison != "1e999" if kind == "transform" else poison is not None
+            infinite = poison in ("1e999", LONG_INTEGER)
+            must_refuse = not infinite if kind == "transform" else poison is not None
         content = text.encode()
     path = workdir / f"hostile.{kind}"
     path.write_bytes(content)

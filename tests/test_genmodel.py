@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import scdt
 from conftest import MERGING_GEN, gen_configs, signed_measures
+from oracles import cdf, convexity_probe
 from scdt.genmodel import (
     CARRIER_PERIOD,
     TEMPLATES,
@@ -25,7 +26,6 @@ from scdt.genmodel import (
     IncreasingReparam,
     LabeledSignals,
     apply_reparam,
-    convexity_probe,
     generate_dataset,
     _phase,
     _window,
@@ -36,7 +36,6 @@ from scdt.measures import (
     DiscreteMeasure,
     GridDensity,
     SignedMeasure,
-    cdf,
     measure_from_density,
     rebin,
 )

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import scdt
 from conftest import discrete_measures, probability_measures, signed_measures
-from oracles import quantile_scan, scdt_inverse_by_unique
+from oracles import cdt_probability, quantile_scan, scdt_inverse_by_unique
 from scdt.classify import FeatureMatrix, featurize, fit_lda, run_experiment
 from scdt.cli import ExperimentConfig
 from scdt.errors import RangeError, ScdtError, SingularityError, SingularityWarning
@@ -39,7 +39,6 @@ from scdt.transform import (
     TransformConfig,
     cdt_inverse,
     cdt_positive,
-    cdt_probability,
     scdt_forward,
     scdt_inverse,
 )
