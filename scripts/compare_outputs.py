@@ -144,16 +144,23 @@ def _edge_cases(scdt, ctx):
             d.samples for _, d in scdt.generate_dataset(scdt.GenConfig(**kwargs))]
 
     def extreme(scales):
-        # Part totals below about 7e-304 cannot be counted at M = 2^17, so the
-        # kernel replays those rows through the per-signal transform.
+        # Rows of normal weights are counted at M = 2^17 whatever their scale, from
+        # just above the smallest normal float to near overflow; a row holding a
+        # subnormal weight raises the per-signal RangeError.
         rng = np.random.default_rng(3)
         signals = [(0, scdt.GridDensity(0.0, 64.0, rng.choice((-1.0, 0.0, 1.0), size=64)
                                         * rng.uniform(1.0, 2.0, size=64) * scale))
                    for scale in scales]
         return scdt.featurize(signals, "scdt", scdt.TransformConfig(n_quantiles=LARGE_M)).rows
     for name, scales in (("1e-320", [1e-320] * 4), ("1e300", [1e300] * 4),
-                         ("mixed", [1e-320, 1e-305, 1.0, 1e300])):
+                         ("mixed", [1e-320, 1e-305, 1.0, 1e300]),
+                         ("tiny-normal", [1e-307, 1e-306, 1e-305, 1e-304])):
         yield f"featurize/extreme/{name}", ERRORS, lambda: extreme(scales)
+    # At M = 2 the level past the last, (M + 1/2) / M * total, overflows for these plus parts.
+    near_max = [(i, scdt.GridDensity(0.0, 3.0, np.array(row)))
+                for i, row in enumerate([[1.5e308, 0.0, -1.0], [1.0, 1.7e308, -2.0]])]
+    yield "featurize/extreme/near-max", ERRORS, lambda: scdt.featurize(
+        near_max, "scdt", scdt.TransformConfig(n_quantiles=2)).rows
     yield "featurize/extreme/subnormal-weight", ERRORS, lambda: scdt.featurize(
         [(0, scdt.GridDensity(0.0, 0.125, np.array([4.357289704339519e-308])))], "scdt",
         scdt.TransformConfig()).rows

@@ -76,7 +76,9 @@ class ExperimentConfig(_Frozen):
         self._store(lda_lambda=float(self.lda_lambda))
 
 
-_GEN_KEYS = {f.name for f in dataclasses.fields(GenConfig)}
+#: In GenConfig's field order, the order in which it checks them, so the key an error
+#: names does not depend on the hash seed.
+_GEN_KEYS = tuple(f.name for f in dataclasses.fields(GenConfig))
 _EXTRA_KEYS = {"n_quantiles", "reference", "lda_lambda"}
 
 
@@ -84,7 +86,7 @@ def read_experiment_config(path: Union[str, os.PathLike]) -> ExperimentConfig:
     """Read a JSON experiment config; every key is optional and defaults to
     the standard protocol.  Unknown keys are rejected."""
     obj = _read_json_object(path)
-    unknown = set(obj) - _GEN_KEYS - _EXTRA_KEYS
+    unknown = set(obj).difference(_GEN_KEYS, _EXTRA_KEYS)
     if unknown:
         raise ParseError(f"{path}: unknown keys {sorted(unknown)}")
 
@@ -95,7 +97,7 @@ def read_experiment_config(path: Union[str, os.PathLike]) -> ExperimentConfig:
             raise ParseError(f"{path}: {key} must be an integer, got {value!r}") from None
 
     gen_kwargs: Dict[str, Any] = {}
-    for key in _GEN_KEYS & set(obj):
+    for key in (k for k in _GEN_KEYS if k in obj):
         value = obj[key]
         if key in ("a_range", "b_range"):
             arr = _decode_array(value, key)

@@ -209,9 +209,9 @@ class GenConfig(_Frozen):
         if self.a_range[0] <= 0:
             raise ValueError("a_range must be positive (strictly increasing reparameterizations)")
         if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise ValueError("noise_sigma must be nonnegative")
+            raise ValueError("noise_sigma must be finite and nonnegative")
         counts = self.per_class
-        if np.ndim(counts) == 0:
+        if not isinstance(counts, (list, tuple)) and np.ndim(counts) == 0:
             counts = (counts,) * len(TEMPLATES)
         counts = tuple(_whole(c, "per_class") for c in counts)
         if len(counts) != len(TEMPLATES):

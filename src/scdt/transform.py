@@ -165,13 +165,14 @@ def scdt_forward_batch(
     row-wise cumulative sums, so masses and levels are the same floats as
     for the per-signal atoms, and an empty part gets the (all-zero samples,
     mass 0) convention.  Instead of searching each level, the kernel counts
-    the levels ``q_j * total`` below each bin's cumulative weight ``c``:
-    ``ceil(c * M / total - 1/2)`` is confirmed with one step each way
-    against those exact levels, and each bin centre is repeated by its
-    count.  Every other row (counts one step cannot confirm, in practice where
-    ``M / total`` overflows, or atoms floating point may not hold) is replayed
-    through :func:`measure_from_density` and :func:`scdt_forward`, which
-    raise their own :class:`RangeError` for a row that cannot be binned.
+    the levels ``q_j * total`` below each bin's cumulative weight ``c``: the
+    estimate ``ceil(c / total * M - 1/2)`` from the normalized weight is
+    settled with one step each way against those exact levels, and each bin
+    centre is repeated by its count.  The rows its screen flags (weights or
+    part masses floating point may not hold, or a grid whose bin centres
+    collide) are replayed through :func:`measure_from_density` and
+    :func:`scdt_forward`, which raise their own :class:`RangeError` for a
+    row that cannot be binned.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 2 or x.shape[1] < 1:
@@ -184,9 +185,6 @@ def scdt_forward_batch(
     with np.errstate(over="ignore"):
         w = np.abs(x) * grid.bin_width
     m = cfg.n_quantiles
-    # Level j is levels[j + 1] * total; the sentinels stand for levels -1 and M,
-    # so every count stays in [0, M].
-    levels = np.concatenate(([-np.inf], cfg.quantiles, [np.inf]))
     # Per row and part: each bin centre and then the mass, with the number of times
     # each is written; one repeat writes every row.
     values = np.empty((n_signals, 2, n_bins + 1))
@@ -201,27 +199,21 @@ def scdt_forward_batch(
         total = c[:, -1]
         suspect |= ~np.isfinite(total) | np.any(mask & unfit, axis=1)
         rows = np.any(mask, axis=1)
-        # e[r, k] = #{j : q_j * total_r < c[r, k]}: the estimate c * M / total - 1/2,
-        # rounded up, is stepped once towards the exact levels and confirmed there, so
-        # a poor estimate (where M / total overflows) only sends the row to the replay.
-        # An empty part counts against a total of 1.
+        # e[r, k] = #{j : q_j * total_r < c[r, k]}: the estimate from c / total in [0, 1]
+        # is off by at most one, and one step each way against the exact levels
+        # q_j * total = (j + 1/2) / M * total settles it.  The level past the last,
+        # (M + 1/2) / M * total, may overflow, and a flagged row's infinite total gives
+        # NaN.  An empty part counts against a total of 1.
         t = np.where(total > 0, total, 1.0)[:, None]
         with np.errstate(over="ignore", invalid="ignore"):
-            est = c * (m / t)
-        est -= 0.5
-        e = np.fmin(np.fmax(np.ceil(est, out=est), 0.0), m).astype(np.intp)
-        below = levels[e] * t < c
-        short = levels[e + 1] * t < c
-        e += short
-        e -= ~below
+            e = np.ceil(c / t * m - 0.5)
+            e += (e + 0.5) / m * t < c
+            e -= (e - 0.5) / m * t >= c
         # From the part's last atom on, the levels left over (those that round up
         # to the total) all go to that atom: the clamp of the search.
         after = np.arange(n_bins) >= n_bins - 1 - np.argmax(mask[:, ::-1], axis=1)[:, None]
-        # A step is confirmed by the level beyond it: e - 1 stays below c, e + 1 does not.
-        ok = after | ((levels[e + short] * t < c) ^ short)
-        e[after] = m
-        suspect |= rows & ~ok.all(axis=1)
-        e[suspect] = m  # any valid counts: the replay overwrites the row
+        e[after | suspect[:, None]] = m  # any valid counts: the replay overwrites the row
+        e = e.astype(np.intp)
         values[:, part, :-1] = np.where(rows[:, None], centers, 0.0)
         values[:, part, -1] = total
         counts[:, part, 0] = e[:, 0]

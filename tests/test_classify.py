@@ -8,7 +8,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import gen_configs
@@ -199,15 +199,15 @@ def per_signal_rows(signals, cfg: TransformConfig) -> np.ndarray:
 @st.composite
 def signals_on_one_grid(draw):
     """Labeled densities on one grid of 1-512 bins: zero bins, all-zero and
-    one-sign rows, magnitudes from subnormal to about 1e300."""
+    one-sign rows, magnitudes from subnormal to about 1e308."""
     n_bins = draw(st.integers(min_value=1, max_value=512))
     t0 = draw(st.floats(min_value=-10.0, max_value=10.0))
     span = draw(st.floats(min_value=1e-3, max_value=1e3))
     signals = []
     for label in range(draw(st.integers(min_value=1, max_value=4))):
         rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
-        lo = draw(st.integers(min_value=-323, max_value=300))
-        hi = min(lo + draw(st.integers(min_value=0, max_value=40)), 300)
+        lo = draw(st.integers(min_value=-323, max_value=308))
+        hi = min(lo + draw(st.integers(min_value=0, max_value=40)), 308)
         signs = {
             "mixed": rng.choice((-1.0, 0.0, 1.0), size=n_bins),
             "zero": np.zeros(n_bins),
@@ -232,9 +232,12 @@ def replayed_rows(monkeypatch):
 
 
 class TestTransformKernel:
+    @pytest.mark.filterwarnings("error")
     @given(signals_on_one_grid(),
            st.one_of(st.integers(min_value=2, max_value=64), st.sampled_from([1024, 4096, 2**17]),
                      st.integers(min_value=65, max_value=2**17)))
+    # Part totals of about 4e-306 and 2e-306, where M / total overflows at M = 2^17.
+    @example([(0, GridDensity(0.0, 4.0, np.array([1e-306, -2e-306, 0.0, 3e-306])))], 2**17)
     def test_rows_equal_the_per_signal_transforms_bit_for_bit(self, signals, n_quantiles):
         cfg = TransformConfig(n_quantiles=n_quantiles)
         try:
@@ -243,7 +246,10 @@ class TestTransformKernel:
             with pytest.raises(type(exc), match=re.escape(str(exc))):
                 featurize(signals, "scdt", cfg)
             return
-        got = featurize(signals, "scdt", cfg).rows
+        with pytest.MonkeyPatch.context() as mp:
+            replayed = replayed_rows(mp)
+            got = featurize(signals, "scdt", cfg).rows
+        assert replayed == []
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
@@ -260,15 +266,16 @@ class TestTransformKernel:
                 featurize([signal], "scdt", cfg)
 
     @pytest.mark.filterwarnings("error")
-    def test_rows_whose_levels_cannot_be_counted_are_searched(self, monkeypatch):
+    def test_rows_of_every_normal_scale_are_counted(self, monkeypatch):
         # Part totals from subnormal to near overflow at M = 2^17 on bins of width 1.
-        # Where M / total overflows the levels are not counted: the row is replayed.
-        # A row with a weight below the smallest normal float raises the per-signal error.
+        # Every row of normal weights is counted without a replay, also where a part
+        # total is below M * 5.6e-309, so that M / total would overflow.  A row with a
+        # weight below the smallest normal float raises the per-signal error.
         rng = np.random.default_rng(7)
         scales = [5e-324, 1e-320, 1e-310, 1e-307, 1e-306, 1e-305, 1e-300, 1.0, 1e300, 5e306]
         rows = np.array([rng.choice((-1.0, 0.0, 1.0), size=24) * rng.uniform(1, 2, size=24) * a
                          for a in scales])
-        rows[4] = np.where(rows[4] > 0, 5e306, rows[4])  # beside a minus part too small to count
+        rows[4] = np.where(rows[4] > 0, 5e306, rows[4])  # beside a tiny minus part
         assert np.all(np.any(rows > 0, axis=1) & np.any(rows < 0, axis=1))
         signals = [(i, GridDensity(-3.0, 21.0, row)) for i, row in enumerate(rows)]
         cfg = TransformConfig(n_quantiles=2**17)
@@ -280,9 +287,20 @@ class TestTransformKernel:
                 featurize([signal], "scdt", cfg)
         replayed = replayed_rows(monkeypatch)
         got = featurize(signals[3:], "scdt", cfg).rows
-        # Both parts of rows 3 and 5 and the minus part of row 4 cannot be counted.
-        assert np.array_equal(replayed, rows[3:6])
+        assert replayed == []
         assert got.tobytes() == per_signal_rows(signals[3:], cfg).tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_rows_near_the_largest_float_are_counted(self, monkeypatch):
+        # At M = 2 the level past the last, (M + 1/2) / M * total, overflows for these
+        # plus parts; the count must neither warn nor replay.
+        rows = np.array([[1.5e308, 0.0, -1.0], [1.0, 1.7e308, -2.0]])
+        signals = [(i, GridDensity(0.0, 3.0, row)) for i, row in enumerate(rows)]
+        cfg = TransformConfig(n_quantiles=2)
+        replayed = replayed_rows(monkeypatch)
+        got = featurize(signals, "scdt", cfg).rows
+        assert replayed == []
+        assert got.tobytes() == per_signal_rows(signals, cfg).tobytes()
 
     def test_benchmark_rows_are_all_counted(self, monkeypatch):
         replayed = replayed_rows(monkeypatch)

@@ -5,11 +5,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import scdt
 from scdt.cli import main
 from scdt.fileio import read_signal_csv, write_signal_csv, write_transform_json
 from scdt.measures import GridDensity, ReferenceMeasure
@@ -322,7 +326,7 @@ class TestGenerate:
     @pytest.mark.parametrize(
         "override, message",
         [
-            ({"noise_sigma": LONG_INTEGER}, "noise_sigma must be nonnegative"),
+            ({"noise_sigma": LONG_INTEGER}, "noise_sigma must be finite and nonnegative"),
             ({"a_range": [0.75, LONG_INTEGER]},
              "a_range must be a finite nonempty interval of finite width"),
             ({"t0": -LONG_INTEGER}, "need finite t0 < t1"),
@@ -417,6 +421,20 @@ class TestConfigErrors:
         assert main([command, "--config", str(cfg), *outputs]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
+
+    def test_first_bad_key_is_named_whatever_the_hash_seed(self, tmp_path):
+        # GenConfig checks n_grid before per_class and seed; the reader must convert the
+        # keys in that order too, not in the order hash randomization gives a set.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_grid": 16.5, "seed": 2.5, "per_class": 1.5}))
+        src = os.path.dirname(os.path.dirname(scdt.__file__))
+        args = [sys.executable, "-m", "scdt.cli", "generate", "--config", str(cfg),
+                "--outdir", str(tmp_path / "d")]
+        for hash_seed in range(8):
+            env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(hash_seed)}
+            out = subprocess.run(args, env=env, capture_output=True, text=True)
+            assert out.returncode == 2
+            assert "n_grid must be an integer, got 16.5" in out.stderr, hash_seed
 
 
 class TestClassifyDemo:

@@ -360,6 +360,19 @@ class TestGenConfig:
         with pytest.raises(ValueError, match=f"{name} must be a whole number"):
             GenConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(noise_sigma=np.inf), "noise_sigma must be finite and nonnegative"),
+            (dict(noise_sigma=-0.1), "noise_sigma must be finite and nonnegative"),
+            (dict(per_class=[[1, 2], [3]]), "per_class must be a whole number, got [1, 2]"),
+        ],
+        ids=["infinite-noise_sigma", "negative-noise_sigma", "ragged-per_class"],
+    )
+    def test_refusal_names_its_cause(self, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            GenConfig(**kwargs)
+
     def test_whole_floats_and_numpy_integers_are_ints(self):
         cfg = GenConfig(n_grid=16.0, seed=np.int64(3), per_class=(np.int32(2), 3.0, 4))
         assert (cfg.n_grid, cfg.seed, cfg.per_class) == (16, 3, (2, 3, 4))
