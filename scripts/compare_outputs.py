@@ -656,6 +656,45 @@ def _fit_lda(scdt, ctx):
         apart).regularization
 
 
+def _configs(scdt, ctx):
+    from scdt.cli import ExperimentConfig, main as cli_main
+
+    refused = {
+        "GenConfig/a_range-three-entries": lambda: scdt.GenConfig(a_range=(1, 2, 3)),
+        "GenConfig/t0-text": lambda: scdt.GenConfig(t0="x"),
+        "GenConfig/t0-bool": lambda: scdt.GenConfig(t0=True),
+        "GenConfig/b_range-null": lambda: scdt.GenConfig(b_range=None),
+        "ExperimentConfig/lda_lambda-negative": lambda: ExperimentConfig(
+            scdt.GenConfig(), scdt.TransformConfig(), -1.0),
+    }
+    for name, build in refused.items():
+        yield f"config/{name}", PLAIN, lambda: _state(build())
+
+    def cli(argv):  # the exit code and the first line of stderr
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli_main(argv)
+        return code, err.getvalue().partition("\n")[0]
+
+    # 10**17 float64 entries lie beyond a 47-bit address space: the allocation fails at once.
+    oversize = 10**17
+    csv, tj = os.path.join(ctx.tmp, "small.csv"), os.path.join(ctx.tmp, "small.json")
+    cfg = os.path.join(ctx.tmp, "oversize.json")
+    scdt.fileio.write_signal_csv(csv, scdt.GridDensity(0.0, 2.0, np.array([1.0, -1.0, 2.0])))
+    cli(["transform", "--input", csv, "--output", tj, "--quantiles", "8"])
+    with open(cfg, "w", encoding="utf-8") as fh:
+        json.dump({"n_grid": float(oversize), "per_class": 1}, fh)
+    commands = {
+        "transform": ["transform", "--input", csv, "--output", tj + ".out",
+                      "--quantiles", str(oversize)],
+        "inverse": ["inverse", "--input", tj, "--output", csv + ".out",
+                    f"--grid=0,3,{oversize}"],
+        "generate": ["generate", "--config", cfg, "--outdir", os.path.join(ctx.tmp, "oversize")],
+    }
+    for name, argv in commands.items():
+        yield f"config/cli/{name}-oversize", PLAIN, lambda: cli(argv)
+
+
 #: The key groups, run in this order: (key prefixes, generator of (key, mode, call),
 #: what the keys record).  A generator takes the package and ``ctx``: a temporary
 #: directory, each seed's default-config dataset made once, and the default_rng(0)
@@ -680,6 +719,8 @@ GROUPS = (
     (("objects/",), _objects, "the stored state of each dataclass and result site, and copies"),
     (("fit_lda/",), _fit_lda,
      "predictions, rank, regularization and projection of fit_lda, and scatter out of range"),
+    (("config/",), _configs,
+     "configs the library refuses, and CLI sizes that no array can hold"),
 )
 
 

@@ -20,15 +20,13 @@ import json
 import math
 import os
 import sys
-from typing import Any, Dict, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from .classify import DEFAULT_LDA_LAMBDA, run_experiment
 from .errors import (
     InvalidReferenceError, MetricDomainError, ParseError, RangeError, SingularityError,
 )
 from .fileio import (
-    _decode_array,
-    _decode_float,
     _read_json_object,
     parse_reference,
     read_signal_csv,
@@ -40,7 +38,7 @@ from .fileio import (
 from .genmodel import GenConfig, generate_dataset
 from .measures import ReferenceMeasure, measure_from_density, rebin
 from .metrics import d_s, d_w2, w2
-from .steps import _Frozen, _whole
+from .steps import _Frozen, _real
 from .transform import DEFAULT_N_QUANTILES, TransformConfig, scdt_forward, scdt_inverse
 
 __all__ = ["main", "read_experiment_config", "ExperimentConfig", "seed_override_from_env"]
@@ -57,6 +55,7 @@ _EXIT_CODES = (
     ((SingularityError, RangeError), EXIT_SINGULARITY),
     (MetricDomainError, EXIT_METRIC),
     ((ValueError, OSError), EXIT_PARSE),  # every ScdtError is a ValueError
+    (MemoryError, EXIT_PARSE),  # a size no array can hold
 )
 
 
@@ -73,7 +72,10 @@ class ExperimentConfig(_Frozen):
     lda_lambda: float = DEFAULT_LDA_LAMBDA
 
     def __post_init__(self) -> None:
-        self._store(lda_lambda=float(self.lda_lambda))
+        lda_lambda = _real(self.lda_lambda, "lda_lambda")
+        if not 0 < lda_lambda < math.inf:
+            raise ValueError(f"lda_lambda must be finite and positive, got {lda_lambda!r}")
+        self._store(lda_lambda=lda_lambda)
 
 
 #: In GenConfig's field order, the order in which it checks them, so the key an error
@@ -84,36 +86,15 @@ _EXTRA_KEYS = {"n_quantiles", "reference", "lda_lambda"}
 
 def read_experiment_config(path: Union[str, os.PathLike]) -> ExperimentConfig:
     """Read a JSON experiment config; every key is optional and defaults to
-    the standard protocol.  Unknown keys are rejected."""
+    the standard protocol.  Unknown keys are rejected; each config checks its
+    own keys, and its ``ValueError`` becomes a :class:`ParseError` naming the file."""
     obj = _read_json_object(path)
     unknown = set(obj).difference(_GEN_KEYS, _EXTRA_KEYS)
     if unknown:
         raise ParseError(f"{path}: unknown keys {sorted(unknown)}")
-
-    def integer(value: Any, key: str) -> int:
-        try:
-            return _whole(value, key)
-        except ValueError:
-            raise ParseError(f"{path}: {key} must be an integer, got {value!r}") from None
-
-    gen_kwargs: Dict[str, Any] = {}
-    for key in (k for k in _GEN_KEYS if k in obj):
-        value = obj[key]
-        if key in ("a_range", "b_range"):
-            arr = _decode_array(value, key)
-            if arr.size != 2:
-                raise ParseError(f"{path}: {key} must be a two-entry array")
-            value = (float(arr[0]), float(arr[1]))
-        elif key == "per_class" and isinstance(value, list):
-            value = tuple(integer(c, key) for c in value)
-        elif key in ("n_grid", "seed", "per_class"):
-            value = integer(value, key)
-        else:
-            value = _decode_float(value, key)
-        gen_kwargs[key] = value
     try:
-        gen = GenConfig(**gen_kwargs)
-    except (TypeError, ValueError) as exc:
+        gen = GenConfig(**{k: obj[k] for k in _GEN_KEYS if k in obj})
+    except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     reference = (
         parse_reference(obj["reference"])
@@ -122,15 +103,11 @@ def read_experiment_config(path: Union[str, os.PathLike]) -> ExperimentConfig:
         if "reference" in obj
         else ReferenceMeasure.uniform()
     )
-    n_quantiles = integer(obj.get("n_quantiles", DEFAULT_N_QUANTILES), "n_quantiles")
     try:
-        transform = TransformConfig(reference=reference, n_quantiles=n_quantiles)
-    except (TypeError, ValueError) as exc:
+        transform = TransformConfig(reference, obj.get("n_quantiles", DEFAULT_N_QUANTILES))
+        return ExperimentConfig(gen, transform, obj.get("lda_lambda", DEFAULT_LDA_LAMBDA))
+    except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    lda_lambda = _decode_float(obj.get("lda_lambda", DEFAULT_LDA_LAMBDA), "lda_lambda")
-    if not 0 < lda_lambda < math.inf:
-        raise ParseError(f"{path}: lda_lambda must be finite and positive, got {lda_lambda!r}")
-    return ExperimentConfig(gen, transform, lda_lambda)
 
 
 def seed_override_from_env(env: Optional[Dict[str, str]] = None) -> Optional[int]:
@@ -281,7 +258,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 

@@ -24,7 +24,7 @@ from .measures import (
     rebin,
 )
 from .errors import RangeError, ScdtError
-from .steps import ArrayLike, PiecewiseLinearMap, _Frozen, _along, _like, _whole
+from .steps import ArrayLike, PiecewiseLinearMap, _Frozen, _along, _like, _real, _whole
 from .transform import CdtResult, ScdtResult
 
 __all__ = [
@@ -185,7 +185,9 @@ class GenConfig(_Frozen):
 
     Each signal is a template pushed through a random ``h(t) = a t + b``
     (acting on the measure by atom relocation through ``h^-1``) plus white
-    Gaussian noise on the density samples.
+    Gaussian noise on the density samples.  Each field is checked in field order
+    and stored converted: ``t0``, ``t1``, ``noise_sigma`` as floats, each range as
+    a pair of floats, the counts and seed as ints; a refusal names its field.
     """
 
     t0: float = -0.5
@@ -198,17 +200,25 @@ class GenConfig(_Frozen):
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.t0) and np.isfinite(self.t1) and self.t0 < self.t1):
+        t0, t1 = _real(self.t0, "t0"), _real(self.t1, "t1")
+        if not (np.isfinite(t0) and np.isfinite(t1) and t0 < t1):
             raise ValueError("need finite t0 < t1")
         n_grid = _whole(self.n_grid, "n_grid")
         if n_grid < 1:
             raise ValueError("n_grid must be at least 1")
-        for name, (lo, hi) in (("a_range", self.a_range), ("b_range", self.b_range)):
+        ranges = {}
+        for name in ("a_range", "b_range"):
+            pair = getattr(self, name)
+            pair = pair.tolist() if isinstance(pair, np.ndarray) else pair
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise ValueError(f"{name} must be a two-entry array")
+            lo, hi = ranges[name] = (_real(pair[0], name), _real(pair[1], name))
             if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi and np.isfinite(hi - lo)):
                 raise ValueError(f"{name} must be a finite nonempty interval of finite width")
-        if self.a_range[0] <= 0:
+        if ranges["a_range"][0] <= 0:
             raise ValueError("a_range must be positive (strictly increasing reparameterizations)")
-        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+        noise_sigma = _real(self.noise_sigma, "noise_sigma")
+        if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
             raise ValueError("noise_sigma must be finite and nonnegative")
         counts = self.per_class
         if not isinstance(counts, (list, tuple)) and np.ndim(counts) == 0:
@@ -221,7 +231,8 @@ class GenConfig(_Frozen):
         seed = _whole(self.seed, "seed")
         if seed < 0:
             raise ValueError(f"seed must be a nonnegative whole number, got {seed}")
-        self._store(n_grid=n_grid, per_class=counts, seed=seed)
+        self._store(t0=t0, t1=t1, n_grid=n_grid, **ranges, noise_sigma=noise_sigma,
+                    per_class=counts, seed=seed)
 
     @property
     def n_signals(self) -> int:
@@ -274,10 +285,10 @@ def generate_dataset(cfg: GenConfig) -> LabeledSignals:
     atoms merge or leave the grid (or float64) is recomputed on that
     per-signal path, which merges the atoms or raises for it."""
     rng = np.random.default_rng(cfg.seed)
-    t0, t1, n = float(cfg.t0), float(cfg.t1), cfg.n_grid
+    t0, t1, n = cfg.t0, cfg.t1, cfg.n_grid
     centers = GridDensity(t0, t1, np.zeros(n)).bin_centers()
     samples, start = np.empty((cfg.n_signals, n)), 0
-    (a_lo, a_hi), (b_lo, b_hi) = map(float, cfg.a_range), map(float, cfg.b_range)
+    (a_lo, a_hi), (b_lo, b_hi) = cfg.a_range, cfg.b_range
     for label, template in enumerate(TEMPLATES):
         base = measure_from_density(GridDensity(t0, t1, template(centers)))
         count = cfg.per_class[label]

@@ -45,7 +45,18 @@ def _whole(value, name: str) -> int:
         return int(value)
     if isinstance(value, (float, np.floating)) and float(value).is_integer():
         return int(value)
-    raise ValueError(f"{name} must be a whole number, got {value!r}")
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _real(value, name: str) -> float:
+    """``value`` as a float where it is a number but not a bool (an int beyond
+    float64 as the infinity of its sign); anything else raises :class:`ValueError`."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            return POS_INF if value > 0 else NEG_INF
+    raise ValueError(f"{name}: expected a number, got {value!r}")
 
 
 def _like(x: ArrayLike, out: np.ndarray) -> Union[float, np.ndarray]:

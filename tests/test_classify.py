@@ -715,7 +715,7 @@ class TestRunExperiment:
         report = run_experiment(self.small(n_grid=32, seed=0), cfg, seed=5)
         assert report.seed == 5
         assert report.gen_config.seed == 5
-        with pytest.raises(ValueError, match="seed must be a whole number"):
+        with pytest.raises(ValueError, match="seed must be an integer"):
             run_experiment(self.small(n_grid=32), cfg, seed=5.5)
 
     def test_report_round_trips_through_json(self):

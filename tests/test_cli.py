@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import scdt
-from scdt.cli import main
+from scdt.cli import ExperimentConfig, main
 from scdt.fileio import read_signal_csv, write_signal_csv, write_transform_json
 from scdt.measures import GridDensity, ReferenceMeasure
 from scdt.transform import CdtResult, ScdtResult, TransformConfig
@@ -512,3 +512,39 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             main(["transform", "--input", "x.csv"])
         assert err.value.code == 2
+
+
+class TestLibraryConfigs:
+    @pytest.mark.parametrize("lda_lambda", [-1.0, 0.0, math.nan, math.inf, "1e-6", True])
+    def test_experiment_config_refuses_bad_lda_lambda(self, lda_lambda):
+        with pytest.raises(ValueError, match="lda_lambda"):
+            ExperimentConfig(scdt.GenConfig(), TransformConfig(), lda_lambda)
+
+
+#: A size no array can hold: 10**17 float64 entries lie beyond a 47-bit address space,
+#: so the allocation fails at once.
+OVERSIZE = 10**17
+
+
+class TestOversize:
+    def test_flag_size_no_array_can_hold_exit_2(self, tmp_path, capsys, signal_csv):
+        src, tj = signal_csv("in.csv", [1.0, 2.0, 0.0, -1.0]), str(tmp_path / "t.json")
+        assert main(["transform", "--input", src, "--output", tj, "--quantiles", "8"]) == 0
+        for argv in (["transform", "--input", src, "--output", str(tmp_path / "o.json"),
+                      "--quantiles", str(OVERSIZE)],
+                     ["inverse", "--input", tj, "--output", str(tmp_path / "o.csv"),
+                      f"--grid=0,3,{OVERSIZE}"]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        assert not any(tmp_path.glob("o.*"))
+
+    @pytest.mark.parametrize("key", ["n_grid", "n_quantiles"])
+    def test_config_size_no_array_can_hold_exit_2(self, tmp_path, capsys, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"per_class": 1, "n_grid": 4, "n_quantiles": 4,
+                                   key: float(OVERSIZE)}))
+        assert main(["generate", "--config", str(cfg), "--outdir", str(tmp_path / "d")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        assert not (tmp_path / "d").exists()

@@ -3,6 +3,7 @@ templates, and the synthetic dataset generator."""
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import re
 import subprocess
@@ -312,6 +313,15 @@ class TestTemplates:
         assert out.stdout.split() == ["False", "False"]
 
 
+#: What a JSON value may hold: null, bools, ints (beyond float64 too), floats (NaN and
+#: +-inf too), strings, lists of up to three of these, and an object.
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(),
+                         st.sampled_from([2**1024, -2**1024, 10**400]), st.floats(),
+                         st.text(max_size=3))
+JSON_VALUES = st.one_of(JSON_SCALARS, st.lists(JSON_SCALARS, max_size=3),
+                        st.dictionaries(st.text(max_size=2), JSON_SCALARS, max_size=2))
+
+
 class TestGenConfig:
     def test_defaults(self):
         cfg = GenConfig()
@@ -357,7 +367,7 @@ class TestGenConfig:
              "fractional-count", "bool-per_class", "fractional-per_class", "text-per_class"],
     )
     def test_integer_fields_take_whole_numbers_only(self, kwargs, name):
-        with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
             GenConfig(**kwargs)
 
     @pytest.mark.parametrize(
@@ -365,7 +375,7 @@ class TestGenConfig:
         [
             (dict(noise_sigma=np.inf), "noise_sigma must be finite and nonnegative"),
             (dict(noise_sigma=-0.1), "noise_sigma must be finite and nonnegative"),
-            (dict(per_class=[[1, 2], [3]]), "per_class must be a whole number, got [1, 2]"),
+            (dict(per_class=[[1, 2], [3]]), "per_class must be an integer, got [1, 2]"),
         ],
         ids=["infinite-noise_sigma", "negative-noise_sigma", "ragged-per_class"],
     )
@@ -387,6 +397,20 @@ class TestGenConfig:
         with pytest.raises(ValueError, match="seed must be a nonnegative whole number"):
             scdt.run_experiment(GenConfig(per_class=2, n_grid=8),
                                 scdt.TransformConfig(n_quantiles=4), seed=seed)
+
+    @given(key=st.sampled_from([f.name for f in dataclasses.fields(GenConfig)]),
+           value=JSON_VALUES)
+    def test_each_field_is_converted_or_refused_by_name(self, key, value):
+        # As read from a JSON config: GenConfig converts the value or names its key.
+        try:
+            cfg = GenConfig(**{key: value})
+        except ValueError as exc:
+            assert key in str(exc)
+            return
+        assert all(type(v) is float for v in (cfg.t0, cfg.t1, cfg.noise_sigma))
+        for pair in (cfg.a_range, cfg.b_range):
+            assert type(pair) is tuple and len(pair) == 2
+            assert all(type(v) is float for v in pair)
 
 
 #: Warps every atom to about -1, where neighbours of opposite sign collide.

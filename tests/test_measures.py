@@ -567,7 +567,7 @@ class TestRebin:
 
     @pytest.mark.parametrize("n_bins", [2.5, np.inf, True, "4"])
     def test_n_bins_must_be_a_whole_number(self, n_bins):
-        with pytest.raises(ValueError, match="n_bins must be a whole number"):
+        with pytest.raises(ValueError, match="n_bins must be an integer"):
             rebin(SignedMeasure.zero(), 0.0, 1.0, n_bins)
 
     @pytest.mark.parametrize("t0, t1, n_bins", [(1.0, 1.0, 4), (2.0, 1.0, 4), (0.0, 1.0, 0)],

@@ -62,7 +62,7 @@ class TestTransformConfig:
 
     @pytest.mark.parametrize("m", [2.7, np.inf, np.nan, True, "8"])
     def test_n_quantiles_must_be_a_whole_number(self, m):
-        with pytest.raises(ValueError, match="n_quantiles must be a whole number"):
+        with pytest.raises(ValueError, match="n_quantiles must be an integer"):
             TransformConfig(n_quantiles=m)
 
     def test_whole_float_and_numpy_integer_n_quantiles(self):
