@@ -87,7 +87,9 @@ def _default_protocol(scdt, ctx):
     gen = scdt.GenConfig()
     grid = scdt.GridDensity(gen.t0, gen.t1, np.zeros(gen.n_grid)).bin_centers()
     for template in scdt.TEMPLATES:
-        yield f"template/{template.name}", PLAIN, lambda: template(grid)
+        # A function, or in older versions an object with a name.
+        name = getattr(template, "name", None) or template.__name__
+        yield f"template/{name}", PLAIN, lambda: template(grid)
     for seed in SEEDS:
         rep = scdt.classify.run_experiment(scdt.GenConfig(), scdt.TransformConfig(), seed=seed)
         signals = ctx.dataset(seed)
@@ -219,6 +221,8 @@ def _overflow(scdt, ctx):
     yield "grid/span-overflow/cli-generate", ERRORS, generate
     yield "measure/total-overflow", ERRORS, lambda: scdt.DiscreteMeasure(
         np.array([0.0, 1.0]), np.array([1e308, 1e308])).total_mass
+    yield "measure/from_atoms/merge-overflow", ERRORS, lambda: scdt.DiscreteMeasure.from_atoms(
+        np.array([1.0, 1.0]), np.array([1e308, 1e308])).total_mass
     # The weight, the sample over 8, is subnormal.
     subnormal = scdt.GridDensity(0.0, 0.125, np.array([4.357289704339519e-308]))
     yield "measure/subnormal-weight", ERRORS, lambda: [
@@ -362,6 +366,10 @@ def _rebin(scdt, ctx):
     # Mass 1e10 over a bin width of 2.5e-301: the density overflows float64.
     huge = scdt.SignedMeasure(scdt.DiscreteMeasure([1e-301], [1e10]), scdt.DiscreteMeasure.zero())
     yield "rebin/overflow", PLAIN, lambda: scdt.rebin(huge, 0.0, 1e-300, 4).samples
+    # Bin counts whose float64 array no address space holds, with an atom on the right edge.
+    edge = scdt.SignedMeasure(scdt.DiscreteMeasure([4.0], [1.0]), scdt.DiscreteMeasure.zero())
+    for name, n_bins in (("2**60", 2**60), ("2**63-1", 2**63 - 1), ("2**63", 2**63)):
+        yield f"rebin/oversize/{name}", ERRORS, lambda: scdt.rebin(edge, 0.0, 4.0, n_bins).samples
 
 
 def _metrics(scdt, ctx):
@@ -685,14 +693,18 @@ def _configs(scdt, ctx):
     with open(cfg, "w", encoding="utf-8") as fh:
         json.dump({"n_grid": float(oversize), "per_class": 1}, fh)
     commands = {
-        "transform": ["transform", "--input", csv, "--output", tj + ".out",
-                      "--quantiles", str(oversize)],
-        "inverse": ["inverse", "--input", tj, "--output", csv + ".out",
-                    f"--grid=0,3,{oversize}"],
-        "generate": ["generate", "--config", cfg, "--outdir", os.path.join(ctx.tmp, "oversize")],
+        "transform-oversize": ["transform", "--input", csv, "--output", tj + ".out",
+                               "--quantiles", str(oversize)],
+        "inverse-oversize": ["inverse", "--input", tj, "--output", csv + ".out",
+                             f"--grid=0,3,{oversize}"],
+        "generate-oversize": ["generate", "--config", cfg,
+                              "--outdir", os.path.join(ctx.tmp, "oversize")],
+        # A grid size beyond int64, which no index can hold.
+        "inverse-oversize-int64": ["inverse", "--input", tj, "--output", csv + ".out",
+                                   f"--grid=0,3,{2**63}"],
     }
     for name, argv in commands.items():
-        yield f"config/cli/{name}-oversize", PLAIN, lambda: cli(argv)
+        yield f"config/cli/{name}", PLAIN, lambda: cli(argv)
 
 
 #: The key groups, run in this order: (key prefixes, generator of (key, mode, call),
@@ -711,7 +723,8 @@ GROUPS = (
     (("quantiles/",), _quantiles, "measure_quantiles at edge levels, of atoms and density parts"),
     (("support_gap/", "inverse/"), _collisions, "supports that (nearly) collide, also at +-inf"),
     (("rebin/",), _rebin,
-     "rebin of parts lying off [0, 4] or at +-inf at an end atom, and of a density that overflows"),
+     "rebin of parts lying off [0, 4] or at +-inf at an end atom, of a density that overflows, "
+     "and onto bin counts no array can hold"),
     (("d_w2/", "w2/", "d_s/", "transform_l2/", "extreme/"), _metrics,
      "the metrics with zero parts, and where distances or gaps leave float64"),
     (("reference/", "reparam/pwl/"), _inverses, "reference quantiles and inverses of warps"),

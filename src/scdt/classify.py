@@ -171,8 +171,7 @@ def fit_lda(train: FeatureMatrix, lda_lambda: float = DEFAULT_LDA_LAMBDA) -> Lda
         raise ValueError("feature values are out of range: the scatter over- or underflows")
     eigvals, eigvecs = np.linalg.eigh(small)
     top = max(float(eigvals[-1]), 0.0)
-    keep = eigvals > top * 1e-10 if top > 0 else np.zeros(eigvals.size, dtype=bool)
-    order = np.nonzero(keep)[0][::-1]
+    order = np.nonzero(eigvals > top * 1e-10)[0][::-1]
     projection = _apply_q(h, tau, (solved @ eigvecs[:, order]) / np.sqrt(eigvals[order]))
     return LdaModel(
         projection=projection,

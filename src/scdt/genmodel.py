@@ -11,7 +11,7 @@ reparameterizations of three fixed signed templates and adds Gaussian noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .transform import CdtResult, ScdtResult
 
 __all__ = [
     "IncreasingReparam",
-    "ClassTemplate",
     "GenConfig",
     "LabeledSignals",
     "TEMPLATES",
@@ -114,8 +113,6 @@ def apply_reparam(s: SignedMeasure, g: IncreasingReparam) -> SignedMeasure:
     neighboring atoms, in which case their weights merge first."""
 
     def move(part: DiscreteMeasure) -> DiscreteMeasure:
-        if part.is_zero:
-            return DiscreteMeasure.zero()
         return DiscreteMeasure.from_atoms(g.inverse(part.locations), part.weights)
 
     return SignedMeasure(move(s.positive_part), move(s.negative_part))
@@ -156,26 +153,22 @@ def _phase(t: np.ndarray) -> np.ndarray:
     return 2 * np.pi * (t - WINDOW_CENTER) / CARRIER_PERIOD
 
 
-@dataclass(frozen=True, eq=False)
-class ClassTemplate(_Frozen):
-    """A named closed-form signed signal template evaluated on a grid."""
-
-    name: str
-    generator: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, t: np.ndarray) -> np.ndarray:
-        return self.generator(np.asarray(t, dtype=float))
+def gabor(t: np.ndarray) -> np.ndarray:
+    return np.cos(_phase(t)) * _window(t)
 
 
 # The sawtooth (width 1) and square (duty 0.5) carriers in their standard closed
 # forms: a ramp rising from -1 over each period, and +1 on its first half.
-TEMPLATES: Tuple[ClassTemplate, ...] = (
-    ClassTemplate("gabor", lambda t: np.cos(_phase(t)) * _window(t)),
-    ClassTemplate("sawtooth", lambda t: (np.mod(_phase(t), 2 * np.pi) / np.pi - 1) * _window(t)),
-    ClassTemplate(
-        "square", lambda t: np.where(np.mod(_phase(t), 2 * np.pi) < np.pi, 1.0, -1.0) * _window(t)
-    ),
-)
+def sawtooth(t: np.ndarray) -> np.ndarray:
+    return (np.mod(_phase(t), 2 * np.pi) / np.pi - 1) * _window(t)
+
+
+def square(t: np.ndarray) -> np.ndarray:
+    return np.where(np.mod(_phase(t), 2 * np.pi) < np.pi, 1.0, -1.0) * _window(t)
+
+
+#: The closed-form signed signal templates of the three classes, in label order.
+TEMPLATES = (gabor, sawtooth, square)
 
 
 @dataclass(frozen=True, eq=False)

@@ -55,7 +55,7 @@ class DiscreteMeasure(_Frozen):
             raise ValueError("locations and weights must be 1-D arrays of equal length")
         if np.any(np.isnan(locs)) or np.any(np.isnan(w)):
             raise ValueError("atoms must not contain NaN")
-        if locs.size > 1 and not np.all(locs[1:] > locs[:-1]):
+        if not np.all(locs[1:] > locs[:-1]):
             raise ValueError("atom locations must be strictly increasing (merge duplicates first)")
         if np.any(w <= 0) or np.any(~np.isfinite(w)):
             raise ValueError("atom weights must be finite and positive")
@@ -76,7 +76,10 @@ class DiscreteMeasure(_Frozen):
         locs, w = locs[keep], w[keep]
         uniq, inverse = np.unique(locs, return_inverse=True)
         merged = np.zeros(uniq.size)
-        np.add.at(merged, inverse, w)
+        with np.errstate(over="ignore"):
+            np.add.at(merged, inverse, w)
+        if np.all(np.isfinite(w)) and not np.all(np.isfinite(merged)):
+            raise RangeError("the total mass of the atoms overflows float64")
         return cls(uniq, merged)
 
     @classmethod
@@ -260,7 +263,7 @@ def pushforward(samples: ArrayLike, mass: float) -> DiscreteMeasure:
         raise ValueError("samples must be a non-empty 1-D array")
     if np.any(np.isnan(arr)):
         raise ValueError("samples must not contain NaN")
-    if arr.size > 1 and np.any(arr[1:] < arr[:-1]):
+    if np.any(arr[1:] < arr[:-1]):
         raise ValueError("samples must be non-decreasing")
     mass = float(mass)
     if not 0 <= mass < np.inf:
@@ -336,6 +339,8 @@ def rebin(m: SignedMeasure, t0: float, t1: float, n_bins: int) -> GridDensity:
     n_bins = _whole(n_bins, "n_bins")
     if not (np.isfinite(t0) and np.isfinite(t1) and t0 < t1 and n_bins >= 1):
         raise ValueError("need finite t0 < t1 and n_bins >= 1")
+    if n_bins > np.iinfo(np.intp).max // 8:  # the bytes of a float64 array must fit an intp
+        raise ValueError(f"n_bins {n_bins} is more bins than any array can hold")
     _check_span(t0, t1)
     parts = (m.positive_part, m.negative_part)
     for locs in (part.locations for part in parts if not part.is_zero):

@@ -145,14 +145,14 @@ class StepFunction(_Frozen):
             raise ValueError(
                 f"expected {bp.size + 1} values for {bp.size} breakpoints, got {vals.size}"
             )
-        if bp.size and not np.all(np.isfinite(bp)):
+        if not np.all(np.isfinite(bp)):
             raise ValueError("breakpoints must be finite")
-        if bp.size > 1 and not np.all(bp[1:] > bp[:-1]):
+        if not np.all(bp[1:] > bp[:-1]):
             raise ValueError("breakpoints must be strictly increasing")
         vapi = float(vals[-1] if self.value_at_pos_inf is None else self.value_at_pos_inf)
         if np.isnan(vapi):
             raise ValueError("value_at_pos_inf must not be NaN")
-        if vals.size > 1 and not np.all(vals[1:] >= vals[:-1]):
+        if not np.all(vals[1:] >= vals[:-1]):
             raise ValueError("monotone step function must have non-decreasing values")
         if vapi < vals[-1]:
             raise ValueError("value_at_pos_inf must not fall below the final value")

@@ -198,21 +198,21 @@ def scdt_forward_batch(
             c = np.cumsum(np.where(mask, w, 0.0), axis=1)
         total = c[:, -1]
         suspect |= ~np.isfinite(total) | np.any(mask & unfit, axis=1)
-        rows = np.any(mask, axis=1)
+        rows = total > 0  # weights of rows not replayed are normal: atoms exactly where total > 0
         # e[r, k] = #{j : q_j * total_r < c[r, k]}: the estimate from c / total in [0, 1]
         # is off by at most one, and one step each way against the exact levels
         # q_j * total = (j + 1/2) / M * total settles it.  The level past the last,
         # (M + 1/2) / M * total, may overflow, and a flagged row's infinite total gives
         # NaN.  An empty part counts against a total of 1.
-        t = np.where(total > 0, total, 1.0)[:, None]
+        t = np.where(rows, total, 1.0)[:, None]
         with np.errstate(over="ignore", invalid="ignore"):
             e = np.ceil(c / t * m - 0.5)
             e += (e + 0.5) / m * t < c
             e -= (e - 0.5) / m * t >= c
-        # From the part's last atom on, the levels left over (those that round up
-        # to the total) all go to that atom: the clamp of the search.
-        after = np.arange(n_bins) >= n_bins - 1 - np.argmax(mask[:, ::-1], axis=1)[:, None]
-        e[after | suspect[:, None]] = m  # any valid counts: the replay overwrites the row
+        # From a part's last atom on, c = total lies above the top level (M - 1/2) / M * total,
+        # so e = M there; an empty part's counts are 0, and its M levels go to its last bin.
+        e[:, -1] = m
+        e[suspect] = m  # any valid counts: the replay overwrites the row
         e = e.astype(np.intp)
         values[:, part, :-1] = np.where(rows[:, None], centers, 0.0)
         values[:, part, -1] = total
@@ -234,8 +234,6 @@ def cdt_inverse(c: CdtResult, cfg: TransformConfig) -> DiscreteMeasure:
             f"transform carries {c.samples.size} samples but the config expects "
             f"{cfg.n_quantiles}"
         )
-    if c.is_zero:
-        return DiscreteMeasure.zero()
     return pushforward(c.samples, c.mass)
 
 

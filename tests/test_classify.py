@@ -238,6 +238,12 @@ class TestTransformKernel:
                      st.integers(min_value=65, max_value=2**17)))
     # Part totals of about 4e-306 and 2e-306, where M / total overflows at M = 2^17.
     @example([(0, GridDensity(0.0, 4.0, np.array([1e-306, -2e-306, 0.0, 3e-306])))], 2**17)
+    # Only the last bin is nonzero: the positive part's counts reach M there, and the
+    # empty negative part puts its M levels on that bin too.
+    @example([(0, GridDensity(0.0, 4.0, np.array([0.0, 0.0, 0.0, 2.5])))], 2**17)
+    # An all-zero row beside a row with one atom of each sign in its first two bins.
+    @example([(0, GridDensity(0.0, 3.0, np.zeros(3))),
+              (1, GridDensity(0.0, 3.0, np.array([1.0, -2.0, 0.0])))], 3)
     def test_rows_equal_the_per_signal_transforms_bit_for_bit(self, signals, n_quantiles):
         cfg = TransformConfig(n_quantiles=n_quantiles)
         try:

@@ -539,6 +539,16 @@ class TestOversize:
             assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
         assert not any(tmp_path.glob("o.*"))
 
+    @pytest.mark.parametrize("n", [2**63, 10**30], ids=["beyond-int64", "1e30"])
+    def test_grid_size_no_index_can_hold_exit_2(self, tmp_path, capsys, signal_csv, n):
+        src, tj = signal_csv("in.csv", [1.0, 2.0, 0.0, -1.0]), str(tmp_path / "t.json")
+        assert main(["transform", "--input", src, "--output", tj, "--quantiles", "8"]) == 0
+        out = str(tmp_path / "o.csv")
+        assert main(["inverse", "--input", tj, "--output", out, f"--grid=0,3,{n}"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: n_bins {n} is more bins than any array can hold\n"
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("key", ["n_grid", "n_quantiles"])
     def test_config_size_no_array_can_hold_exit_2(self, tmp_path, capsys, key):
         cfg = tmp_path / "cfg.json"

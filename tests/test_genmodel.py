@@ -264,7 +264,7 @@ class TestPredictTransform:
 
 class TestTemplates:
     def test_names(self):
-        assert tuple(t.name for t in TEMPLATES) == ("gabor", "sawtooth", "square")
+        assert tuple(t.__name__ for t in TEMPLATES) == ("gabor", "sawtooth", "square")
 
     def test_gabor_peaks_at_window_center(self):
         assert TEMPLATES[0](np.array([WINDOW_CENTER]))[0] == 1.0
@@ -298,7 +298,7 @@ class TestTemplates:
         for t in (grid, spread, half_periods):
             for template, oracle in zip(TEMPLATES[1:], (signal.sawtooth, signal.square)):
                 want = oracle(_phase(t)) * _window(t)
-                assert template(t).tobytes() == want.tobytes(), template.name
+                assert template(t).tobytes() == want.tobytes(), template.__name__
 
     def test_importing_the_package_leaves_out_scipy_signal(self):
         src = os.path.dirname(os.path.dirname(scdt.__file__))

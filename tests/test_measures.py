@@ -85,6 +85,12 @@ class TestDiscreteMeasure:
             with pytest.raises(RangeError, match="total mass of the atoms overflows"):
                 build()
 
+    def test_from_atoms_whose_merged_weight_overflows_raises_range_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeError, match="total mass of the atoms overflows"):
+                DiscreteMeasure.from_atoms(np.array([1.0, 1.0]), np.array([1e308, 1e308]))
+
     def test_scaled_overflow_raises_range_error(self):
         m = DiscreteMeasure(np.array([0.0, 1.0]), np.array([1.0, 1e308]))
         with warnings.catch_warnings():
@@ -575,6 +581,16 @@ class TestRebin:
     def test_grid_must_be_an_interval_with_bins(self, t0, t1, n_bins):
         with pytest.raises(ValueError, match=r"^need finite t0 < t1 and n_bins >= 1$"):
             rebin(SignedMeasure.zero(), t0, t1, n_bins)
+
+    @pytest.mark.parametrize("n_bins", [2**60, 2**63 - 1, 2**63, 10**30])
+    def test_bin_count_no_array_can_hold_is_refused(self, n_bins):
+        m = SignedMeasure(
+            DiscreteMeasure(np.array([1.0]), np.array([1.0])), DiscreteMeasure.zero()
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^n_bins {n_bins} is more bins than any"):
+                rebin(m, 0.0, 1.0, n_bins)
 
     def test_atom_on_right_edge_kept_in_last_bin(self):
         m = SignedMeasure(

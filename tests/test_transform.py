@@ -30,7 +30,7 @@ from scdt.measures import (
     pushforward,
     rebin,
 )
-from scdt.genmodel import TEMPLATES, GenConfig, IncreasingReparam, generate_dataset
+from scdt.genmodel import GenConfig, IncreasingReparam, generate_dataset
 from scdt.metrics import d_s
 from scdt.steps import POS_INF, PiecewiseLinearMap, StepFunction, _Frozen
 from scdt.transform import (
@@ -570,7 +570,6 @@ def _frozen_objects():
         "ScdtResult": lambda: ScdtResult(CdtResult(np.array([0.0, 1.0]), 2.0), CdtResult.zero(2)),
         "DistanceReport": lambda: d_s(measure_from_density(d), back(), 8),
         "IncreasingReparam": lambda: IncreasingReparam.piecewise_linear([0.0, 1.0], [0.0, 2.0]),
-        "ClassTemplate": lambda: TEMPLATES[0],
         "GenConfig": lambda: small,
         "LabeledSignals": lambda: generate_dataset(small),
         "FeatureMatrix": lambda: FeatureMatrix(np.zeros((2, 3)), [0, 1], "raw_signal"),
@@ -626,9 +625,8 @@ def test_trusted_output_is_a_complete_frozen_dataclass(name):
     assert class_names <= FROZEN_OBJECTS.keys()
     obj = FROZEN_OBJECTS[name]()
     assert type(obj) in DATACLASSES and (name not in class_names or type(obj).__name__ == name)
-    copies = {"copy": copy.copy(obj), "deepcopy": copy.deepcopy(obj)}
-    if not isinstance(obj, scdt.ClassTemplate):  # its lambdas cannot be pickled
-        copies["pickle"] = pickle.loads(pickle.dumps(obj))
+    copies = {"copy": copy.copy(obj), "deepcopy": copy.deepcopy(obj),
+              "pickle": pickle.loads(pickle.dumps(obj))}
     # A result stored without __post_init__ shows a misspelled or missing field only here.
     # A copy holds the fields alone, every array read-only, nested ones included; a
     # shallow copy shares the nested objects, caches and all.
