@@ -219,6 +219,8 @@ def _overflow(scdt, ctx):
         return cli(["generate", "--config", cfg, "--outdir", os.path.join(ctx.tmp, "span")])
     yield "grid/span-overflow/cli-inverse", ERRORS, inverse
     yield "grid/span-overflow/cli-generate", ERRORS, generate
+    yield "grid/span-overflow/genconfig", ERRORS, lambda: _state(
+        scdt.GenConfig(t0=-1e308, t1=1e308))
     yield "measure/total-overflow", ERRORS, lambda: scdt.DiscreteMeasure(
         np.array([0.0, 1.0]), np.array([1e308, 1e308])).total_mass
     yield "measure/from_atoms/merge-overflow", ERRORS, lambda: scdt.DiscreteMeasure.from_atoms(
@@ -707,6 +709,29 @@ def _configs(scdt, ctx):
         yield f"config/cli/{name}", PLAIN, lambda: cli(argv)
 
 
+def _refused(scdt, ctx):
+    one = scdt.SignedMeasure(scdt.DiscreteMeasure(np.array([0.0]), np.array([1.0])),
+                             scdt.DiscreteMeasure.zero())
+    cfg = scdt.TransformConfig(n_quantiles=8)
+    grids = {
+        "density": lambda: _density(scdt.GridDensity(0.0, True, np.array([1.0, -2.0]))),
+        "rebin": lambda: scdt.rebin(one, 0.0, True, 4).samples,
+        "batch": lambda: scdt.scdt_forward_batch(np.array([[1.0, -2.0]]), 0.0, True, cfg),
+        "labeled": lambda: _state(scdt.genmodel.LabeledSignals([0], 0.0, True, [[1.0, -2.0]])),
+    }
+    for name, call in grids.items():
+        yield f"grid/bool-bound/{name}", ERRORS, call
+    yield "measure/from_atoms/nan-weight", ERRORS, lambda: _state(
+        scdt.DiscreteMeasure.from_atoms(np.array([0.0, 1.0]), np.array([1.0, np.nan])))
+    train = _blobs(scdt, 10, 0)[0]
+    for name, lda_lambda in (("bool", True), ("text", "1")):
+        yield f"lda/lambda-{name}", ERRORS, lambda: scdt.classify.fit_lda(
+            train, lda_lambda).projection
+    yield "cdt/mass-bool", ERRORS, lambda: _state(scdt.CdtResult(np.array([0.0, 1.0]), True))
+    yield "pushforward/mass-text", ERRORS, lambda: _state(
+        scdt.pushforward(np.array([0.0, 1.0]), "1"))
+
+
 #: The key groups, run in this order: (key prefixes, generator of (key, mode, call),
 #: what the keys record).  A generator takes the package and ``ctx``: a temporary
 #: directory, each seed's default-config dataset made once, and the default_rng(0)
@@ -734,6 +759,8 @@ GROUPS = (
      "predictions, rank, regularization and projection of fit_lda, and scatter out of range"),
     (("config/",), _configs,
      "configs the library refuses, and CLI sizes that no array can hold"),
+    (("grid/bool-bound/", "measure/from_atoms/", "lda/", "cdt/", "pushforward/"), _refused,
+     "a bool grid bound, a NaN weight, a bool or text lda_lambda and mass"),
 )
 
 

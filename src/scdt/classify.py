@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .genmodel import GenConfig, LabeledSignals, _integer_labels, generate_dataset
-from .steps import _Frozen
+from .steps import _Frozen, _real
 from .transform import TransformConfig, scdt_forward_batch
 
 __all__ = [
@@ -137,6 +137,7 @@ def fit_lda(train: FeatureMatrix, lda_lambda: float = DEFAULT_LDA_LAMBDA) -> Lda
     factorization ``(X - mu)^T = Q R``.  Q is never formed: its reflectors are
     applied to the at most ``classes - 1`` discriminant directions only.
     """
+    lda_lambda = _real(lda_lambda, "lda_lambda")
     if not 0 < lda_lambda < np.inf:
         raise ValueError("lda_lambda must be finite and positive")
     X, y = train.rows, train.labels
@@ -152,7 +153,7 @@ def fit_lda(train: FeatureMatrix, lda_lambda: float = DEFAULT_LDA_LAMBDA) -> Lda
     np.subtract(X, centred, out=centred)
     trace = float(np.vdot(centred, centred))
     # Zero scatter takes the absolute ridge; scatter that underflows to 0 is out of range.
-    lam_eff = lda_lambda * trace / p if trace > 0 or np.any(centred) else float(lda_lambda)
+    lam_eff = lda_lambda * trace / p if trace > 0 or np.any(centred) else lda_lambda
     if not 0 < lam_eff < np.inf:
         raise ValueError("feature values are out of range: the scatter over- or underflows")
     h, tau = np.linalg.qr(np.subtract(X, mu, out=centred).T, mode="raw")  # the buffer, reused

@@ -19,7 +19,9 @@ from .measures import (
     DiscreteMeasure,
     GridDensity,
     SignedMeasure,
+    _centres,
     _deposit,
+    _grid,
     measure_from_density,
     rebin,
 )
@@ -193,12 +195,7 @@ class GenConfig(_Frozen):
     seed: int = 0
 
     def __post_init__(self) -> None:
-        t0, t1 = _real(self.t0, "t0"), _real(self.t1, "t1")
-        if not (np.isfinite(t0) and np.isfinite(t1) and t0 < t1):
-            raise ValueError("need finite t0 < t1")
-        n_grid = _whole(self.n_grid, "n_grid")
-        if n_grid < 1:
-            raise ValueError("n_grid must be at least 1")
+        t0, t1, n_grid, _ = _grid(self.t0, self.t1, self.n_grid, "n_grid")
         ranges = {}
         for name in ("a_range", "b_range"):
             pair = getattr(self, name)
@@ -278,8 +275,8 @@ def generate_dataset(cfg: GenConfig) -> LabeledSignals:
     atoms merge or leave the grid (or float64) is recomputed on that
     per-signal path, which merges the atoms or raises for it."""
     rng = np.random.default_rng(cfg.seed)
-    t0, t1, n = cfg.t0, cfg.t1, cfg.n_grid
-    centers = GridDensity(t0, t1, np.zeros(n)).bin_centers()
+    t0, t1, n, width = _grid(cfg.t0, cfg.t1, cfg.n_grid)
+    centers = _centres(t0, width, np.arange(n))
     samples, start = np.empty((cfg.n_signals, n)), 0
     (a_lo, a_hi), (b_lo, b_hi) = cfg.a_range, cfg.b_range
     for label, template in enumerate(TEMPLATES):
@@ -326,5 +323,5 @@ def _warp_and_rebin(
     n = out.shape[1]
     pos_locs, neg_locs = np.split(warped[exact], [pos.weights.size], axis=1)
     atoms = [(pos_locs, pos.weights), (neg_locs, neg.weights)]
-    out[exact] += _deposit(atoms, t0, (t1 - t0) / n, n)
+    out[exact] += _deposit(atoms, t0, _grid(t0, t1, n)[3], n)
     return exact

@@ -14,7 +14,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .errors import InvalidReferenceError, RangeError, SingularityError
-from .steps import ArrayLike, PiecewiseLinearMap, _Frozen, _geninv_search, _whole
+from .steps import ArrayLike, PiecewiseLinearMap, _Frozen, _geninv_search, _real, _whole
 
 __all__ = [
     "DiscreteMeasure",
@@ -70,7 +70,7 @@ class DiscreteMeasure(_Frozen):
         w = np.asarray(weights, dtype=float)
         if locs.shape != w.shape or locs.ndim != 1:
             raise ValueError("locations and weights must be 1-D arrays of equal length")
-        if np.any(w < 0):
+        if not np.all(w >= 0):  # NaN too
             raise ValueError("atom weights must be nonnegative")
         keep = w > 0
         locs, w = locs[keep], w[keep]
@@ -134,12 +134,9 @@ class GridDensity(_Frozen):
     samples: np.ndarray
 
     def __post_init__(self) -> None:
-        t0, t1 = float(self.t0), float(self.t1)
-        if not (np.isfinite(t0) and np.isfinite(t1) and t0 < t1):
-            raise ValueError("need finite t0 < t1")
-        _check_span(t0, t1)
         samples = np.asarray(self.samples, dtype=float)
-        if samples.ndim != 1 or samples.size < 1:
+        t0, t1, _, _ = _grid(self.t0, self.t1, samples.size)
+        if samples.ndim != 1:
             raise ValueError("samples must be a 1-D array with at least one bin")
         if not np.all(np.isfinite(samples)):
             raise ValueError("density samples must be finite")
@@ -151,10 +148,32 @@ class GridDensity(_Frozen):
 
     @property
     def bin_width(self) -> float:
-        return (self.t1 - self.t0) / self.samples.size
+        return _grid(self.t0, self.t1, self.samples.size)[3]
 
     def bin_centers(self) -> np.ndarray:
-        return self.t0 + (np.arange(self.samples.size) + 0.5) * self.bin_width
+        return _centres(self.t0, self.bin_width, np.arange(self.samples.size))
+
+
+def _grid(t0, t1, n, name: str = "n_bins") -> Tuple[float, float, int, float]:
+    """``(t0, t1, n, width)`` of ``n`` equal bins of ``[t0, t1]``, the one grid rule: the
+    bounds, their span, then ``n`` (through :func:`_real` and :func:`_whole`) in turn."""
+    t0, t1 = _real(t0, "t0"), _real(t1, "t1")
+    fault = f"need finite t0 < t1 and {name} >= 1"
+    if not -np.inf < t0 < t1 < np.inf:
+        raise ValueError(fault)
+    if t1 - t0 == np.inf:
+        raise ValueError(f"the grid span t1 - t0 of [{t0}, {t1}] overflows float64")
+    n = _whole(n, name)
+    if n < 1:
+        raise ValueError(fault)
+    if n > np.iinfo(np.intp).max // 8:  # the bytes of a float64 array must fit an intp
+        raise ValueError(f"{name} {n} is more bins than any array can hold")
+    return t0, t1, n, (t1 - t0) / n
+
+
+def _centres(t0: float, width: float, i):
+    """The centre of bin ``i``, an int or an int array, of a grid from ``t0``."""
+    return t0 + (i + 0.5) * width
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,16 +241,14 @@ def measure_from_density(d: GridDensity) -> SignedMeasure:
     weight that underflows to 0, falls below the smallest normal float or
     overflows, colliding bin centres, or a part mass that overflows."""
     width = d.bin_width
-    # Centre i, bin_centers()[i], is t0 + (i + 0.5) * width rounded twice and non-decreasing
-    # in i; two centres can round to one float only if width is within a few ulps of them.
+    # Centre i, _centres(t0, width, i), is rounded twice and non-decreasing in i; two
+    # centres can round to one float only if width is within a few ulps of them.
     collide = not width > 4 * np.spacing(abs(d.t0) + 2 * d.n_bins * width)
     collide = collide and not np.all(np.diff(d.bin_centers()[d.samples != 0]) > 0)
     parts = []
     for i in (np.flatnonzero(d.samples > 0), np.flatnonzero(d.samples < 0)):
-        w, centres = d.samples[i], i + 0.5
+        w, centres = d.samples[i], _centres(d.t0, width, i)
         np.abs(w, out=w)
-        centres *= width
-        centres += d.t0
         with np.errstate(over="ignore"):
             w *= width
             csum = _running_sum(w)
@@ -265,7 +282,7 @@ def pushforward(samples: ArrayLike, mass: float) -> DiscreteMeasure:
         raise ValueError("samples must not contain NaN")
     if np.any(arr[1:] < arr[:-1]):
         raise ValueError("samples must be non-decreasing")
-    mass = float(mass)
+    mass = _real(mass, "mass")
     if not 0 <= mass < np.inf:
         raise ValueError("mass must be finite and nonnegative")
     if mass == 0:
@@ -302,11 +319,6 @@ def _running_sum(w: np.ndarray) -> np.ndarray:
     return csum
 
 
-def _check_span(t0: float, t1: float) -> None:
-    if t1 - t0 == np.inf:  # t0 < t1 are finite
-        raise ValueError(f"the grid span t1 - t0 of [{t0}, {t1}] overflows float64")
-
-
 def _support_gap(a: np.ndarray, b: np.ndarray) -> float:
     """Smallest gap between entries of two strictly increasing arrays, from one
     search of ``a`` in ``b``; a shared entry raises :class:`SingularityError`."""
@@ -335,13 +347,7 @@ def rebin(m: SignedMeasure, t0: float, t1: float, n_bins: int) -> GridDensity:
     Raises :class:`RangeError` for atoms outside the grid, including
     infinite locations, and for a density that overflows float64.
     """
-    t0, t1 = float(t0), float(t1)
-    n_bins = _whole(n_bins, "n_bins")
-    if not (np.isfinite(t0) and np.isfinite(t1) and t0 < t1 and n_bins >= 1):
-        raise ValueError("need finite t0 < t1 and n_bins >= 1")
-    if n_bins > np.iinfo(np.intp).max // 8:  # the bytes of a float64 array must fit an intp
-        raise ValueError(f"n_bins {n_bins} is more bins than any array can hold")
-    _check_span(t0, t1)
+    t0, t1, n_bins, width = _grid(t0, t1, n_bins)
     parts = (m.positive_part, m.negative_part)
     for locs in (part.locations for part in parts if not part.is_zero):
         # Strictly increasing: the ends are the extremes.
@@ -350,7 +356,6 @@ def rebin(m: SignedMeasure, t0: float, t1: float, n_bins: int) -> GridDensity:
         if locs[0] < t0 or locs[-1] > t1:
             raise RangeError(f"atoms outside the grid [{t0}, {t1}] cannot be rebinned")
     atoms = [(part.locations[None], part.weights) for part in parts]
-    width = (t1 - t0) / n_bins
     with np.errstate(over="ignore"):
         samples = _deposit(atoms, t0, width, n_bins)[0]
     if not np.all(np.isfinite(samples)):

@@ -22,12 +22,14 @@ from .measures import (
     GridDensity,
     ReferenceMeasure,
     SignedMeasure,
+    _centres,
+    _grid,
     _support_gap,
     measure_from_density,
     measure_quantiles,
     pushforward,
 )
-from .steps import _Frozen, _whole
+from .steps import _Frozen, _real, _whole
 
 __all__ = [
     "TransformConfig",
@@ -98,7 +100,7 @@ class CdtResult(_Frozen):
             raise ValueError("samples must not contain NaN")
         if np.any(samples[1:] < samples[:-1]):
             raise ValueError("samples must be non-decreasing")
-        mass = float(self.mass)
+        mass = _real(self.mass, "mass")
         if not (np.isfinite(mass) and mass >= 0):
             raise ValueError("mass must be finite and nonnegative")
         if mass == 0 and np.any(samples != 0):
@@ -175,15 +177,15 @@ def scdt_forward_batch(
     row that cannot be binned.
     """
     x = np.asarray(samples, dtype=float)
-    if x.ndim != 2 or x.shape[1] < 1:
+    if x.ndim != 2:
         raise ValueError("samples must be a 2-D array (signals x bins) with at least one bin")
     if not np.all(np.isfinite(x)):
         raise ValueError("density samples must be finite")
     n_signals, n_bins = x.shape
-    grid = GridDensity(t0, t1, np.zeros(n_bins))
-    centers = grid.bin_centers()
+    t0, t1, _, width = _grid(t0, t1, n_bins)
+    centers = _centres(t0, width, np.arange(n_bins))
     with np.errstate(over="ignore"):
-        w = np.abs(x) * grid.bin_width
+        w = np.abs(x) * width
     m = cfg.n_quantiles
     # Per row and part: each bin centre and then the mass, with the number of times
     # each is written; one repeat writes every row.

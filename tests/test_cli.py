@@ -514,11 +514,22 @@ class TestUsage:
         assert err.value.code == 2
 
 
+#: Values of lda_lambda that an experiment config and fit_lda both refuse.
+BAD_LDA_LAMBDAS = [-1.0, 0.0, math.nan, math.inf, "1e-6", True]
+
+
 class TestLibraryConfigs:
-    @pytest.mark.parametrize("lda_lambda", [-1.0, 0.0, math.nan, math.inf, "1e-6", True])
+    @pytest.mark.parametrize("lda_lambda", BAD_LDA_LAMBDAS)
     def test_experiment_config_refuses_bad_lda_lambda(self, lda_lambda):
         with pytest.raises(ValueError, match="lda_lambda"):
             ExperimentConfig(scdt.GenConfig(), TransformConfig(), lda_lambda)
+
+    def test_fit_lda_refuses_the_same_lda_lambda(self):
+        train = scdt.FeatureMatrix(np.array([[0.0], [1.0], [5.0], [6.0]]), [0, 0, 1, 1],
+                                   "raw_signal")
+        for lda_lambda in BAD_LDA_LAMBDAS:
+            with pytest.raises(ValueError, match="lda_lambda"):
+                scdt.fit_lda(train, lda_lambda)
 
 
 #: A size no array can hold: 10**17 float64 entries lie beyond a 47-bit address space,

@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import scdt
@@ -40,7 +40,7 @@ from scdt.measures import (
     measure_from_density,
     rebin,
 )
-from scdt.transform import TransformConfig, scdt_forward
+from scdt.transform import TransformConfig, scdt_forward, scdt_forward_batch
 
 
 class TestIncreasingReparam:
@@ -559,6 +559,76 @@ class TestLabeledSignals:
     def test_constructor_refuses(self, labels, t0, t1, samples, message):
         with pytest.raises(ValueError, match=message):
             LabeledSignals(labels, t0, t1, samples)
+
+
+#: Grid bounds: finite (small integers make equal and reversed pairs likely), not
+#: finite, finite but with a span beyond float64, and values that are not a float.
+GRID_BOUNDS = st.one_of(
+    st.integers(-2, 2),
+    st.floats(-4, 4).map(lambda x: round(x, 3)),
+    st.sampled_from([np.nan, np.inf, -np.inf, -1e308, 1e308, True, "1", np.array(1.0)]),
+)
+#: Bin counts: whole, none, and fractional.
+GRID_SIZES = st.one_of(st.integers(0, 64), st.sampled_from([0, 0.5, 2.5, 3.0]))
+
+
+def _grid_view(d: GridDensity):
+    return d.t0, d.t1, d.bin_width, d.bin_centers()
+
+
+class TestOneGridRule:
+    """Every site that takes a grid of n bins of [t0, t1] checks it by one rule: all
+    accept a grid with the same bounds, width and centres, or all refuse it with one
+    message (``n_grid`` read as ``n_bins``).  An array holds a whole number of bins only,
+    and ``LabeledSignals`` checks its samples' shape, bins included, before the grid."""
+
+    @settings(max_examples=300)
+    @given(t0=GRID_BOUNDS, t1=GRID_BOUNDS, n=GRID_SIZES)
+    @example(t0=0, t1=True, n=4)
+    @example(t0=0.0, t1="1", n=4)
+    @example(t0=0.0, t1=np.array(1.0), n=4)
+    @example(t0=-1e308, t1=1e308, n=4)
+    @example(t0=1.0, t1=1.0, n=4)
+    @example(t0=np.nan, t1=1.0, n=0)
+    @example(t0=0.0, t1=1.0, n=0)
+    @example(t0=0.0, t1=1.0, n=2.5)
+    @example(t0=-1e308, t1=1.0, n=64)
+    def test_every_site_takes_or_refuses_a_grid_alike(self, t0, t1, n):
+        cfg = TransformConfig(n_quantiles=8)
+        sites = {
+            "rebin": lambda: _grid_view(rebin(SignedMeasure.zero(), t0, t1, n)),
+            "GenConfig": lambda: (lambda c: (c.t0, c.t1, c.n_grid))(GenConfig(t0, t1, n)),
+        }
+        whole = float(n).is_integer()
+        if whole:
+            k, ones = int(n), np.ones((1, int(n)))
+            sites["GridDensity"] = lambda: _grid_view(GridDensity(t0, t1, ones[0]))
+            sites["LabeledSignals"] = lambda: (lambda s: (s.t0, s.t1) + _grid_view(s[0][1]))(
+                LabeledSignals([0], t0, t1, ones))
+            sites["batch"] = lambda: scdt_forward_batch(ones, t0, t1, cfg)[0]
+        outcomes = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name, build in sites.items():
+                try:
+                    outcomes[name] = build()
+                except ValueError as exc:
+                    outcomes[name] = str(exc).replace("n_grid", "n_bins")
+        refused = {name for name, out in outcomes.items() if isinstance(out, str)}
+        if refused:
+            assert refused == set(outcomes), outcomes
+            own = {"LabeledSignals"} if whole and k == 0 else set()
+            assert len({outcomes[name] for name in refused - own}) == 1, outcomes
+            return
+        t0, t1, width, centres = outcomes["rebin"]
+        assert type(t0) is float and type(t1) is float and centres.size == k
+        assert outcomes["GenConfig"] == (t0, t1, k)
+        for view in (outcomes["GridDensity"], outcomes["LabeledSignals"][2:]):
+            assert view[:3] == (t0, t1, width) and view[3].tobytes() == centres.tobytes()
+        assert outcomes["LabeledSignals"][:2] == (t0, t1)
+        r = scdt_forward(measure_from_density(GridDensity(t0, t1, ones[0])), cfg)
+        want = np.concatenate((r.plus.samples, [r.plus.mass], r.minus.samples, [r.minus.mass]))
+        assert outcomes["batch"].tobytes() == want.tobytes()
 
 
 class TestConvexityProbe:

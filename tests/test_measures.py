@@ -134,6 +134,13 @@ class TestDiscreteMeasure:
         with pytest.raises(ValueError):
             DiscreteMeasure.from_atoms(np.array([0.0]), np.array([-1.0]))
 
+    def test_from_atoms_refuses_a_nan_weight(self):
+        # NaN is neither negative nor positive: it must not pass as a zero weight.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^atom weights must be nonnegative$"):
+                DiscreteMeasure.from_atoms(np.array([0.0, 1.0]), np.array([1.0, np.nan]))
+
     def test_scaled(self):
         m = DiscreteMeasure(np.array([1.0, 2.0]), np.array([1.0, 3.0]))
         s = m.scaled(0.5)
@@ -509,6 +516,11 @@ class TestPushforward:
     def test_rejects_infinite_mass(self):
         with pytest.raises(ValueError, match="mass must be finite and nonnegative"):
             pushforward(np.zeros(4), POS_INF)
+
+    @pytest.mark.parametrize("mass", [True, "1", np.array(1.0)], ids=["bool", "text", "0-d"])
+    def test_mass_must_be_a_number(self, mass):
+        with pytest.raises(ValueError, match="^mass: expected a number, got "):
+            pushforward(np.zeros(4), mass)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.parametrize(

@@ -92,6 +92,11 @@ class TestCdtResult:
         with pytest.raises(ValueError):
             CdtResult(np.array([0.0, 1.0]), POS_INF)
 
+    @pytest.mark.parametrize("mass", [True, "1", np.array(1.0)], ids=["bool", "text", "0-d"])
+    def test_mass_must_be_a_number(self, mass):
+        with pytest.raises(ValueError, match="^mass: expected a number, got "):
+            CdtResult(np.array([0.0, 1.0]), mass)
+
     def test_zero_convention_enforced(self):
         CdtResult(np.zeros(4), 0.0)
         with pytest.raises(ValueError):
