@@ -732,6 +732,33 @@ def _refused(scdt, ctx):
         scdt.pushforward(np.array([0.0, 1.0]), "1"))
 
 
+def _fallback(scdt, ctx):
+    """Searches whose keys leave the interpolated bracket non-finite or unsorted."""
+    rng = np.random.default_rng(29)
+    # The first gaps of the running sum are subnormal: 1 / gap overflows.
+    tiny = scdt.DiscreteMeasure(np.arange(4.0), np.array([1e-320, 1e-320, 1.0, 1.0]))
+    levels = np.array([2.5e-321, 5e-321, 7.5e-321, 1e-320, 0.25, 0.5, 0.75, 0.999])
+    yield "quantiles/subnormal-gap", ERRORS, lambda: scdt.measure_quantiles(tiny, levels)
+    m = scdt.DiscreteMeasure(np.sort(rng.normal(size=1000)), rng.random(1000) + 0.1)
+    levels = np.array([0.1, np.nan, 0.5, np.nan, 0.9, 1.0, np.nan])
+    yield "quantiles/nan-level", ERRORS, lambda: scdt.measure_quantiles(m, levels)
+    f = scdt.StepFunction(np.array([-1.0, 0.0, 1.0, 2.0]),
+                          np.array([-np.inf, -np.inf, 0.0, np.inf, np.inf]))
+    keys = np.array([-np.inf, -1e308, -1.0, 0.0, 0.5, 1e308, np.inf])
+    yield "geninv/inf-values-inf-keys", ERRORS, lambda: f.geninv_eval(keys)
+    g = scdt.StepFunction(np.sort(rng.normal(size=999)), np.cumsum(rng.random(1000)))
+    shuffled = rng.permutation(np.concatenate((g.values, rng.uniform(-1.0, 600.0, 2000))))
+    yield "geninv/unsorted-keys", ERRORS, lambda: g.geninv_eval(shuffled)
+    # One negative atom 1e-10 above a positive one among 2048 each.
+    plus = np.sort(rng.choice(np.arange(4096) * 0.5, size=2048, replace=False))
+    minus = np.setdiff1d(np.arange(4096) * 0.5, plus)
+    minus[100] = plus[100] + 1e-10
+    t = scdt.ScdtResult(scdt.CdtResult(plus, 1.0), scdt.CdtResult(np.sort(minus), 2.0))
+    yield "inverse/support-gap-near-collision", WARNINGS, lambda: operator.attrgetter(
+        "positive_part.locations", "negative_part.locations")(
+            scdt.scdt_inverse(t, scdt.TransformConfig(n_quantiles=2048)))
+
+
 #: The key groups, run in this order: (key prefixes, generator of (key, mode, call),
 #: what the keys record).  A generator takes the package and ``ctx``: a temporary
 #: directory, each seed's default-config dataset made once, and the default_rng(0)
@@ -761,6 +788,9 @@ GROUPS = (
      "configs the library refuses, and CLI sizes that no array can hold"),
     (("grid/bool-bound/", "measure/from_atoms/", "lda/", "cdt/", "pushforward/"), _refused,
      "a bool grid bound, a NaN weight, a bool or text lda_lambda and mass"),
+    (("quantiles/", "geninv/", "inverse/"), _fallback,
+     "searches off the bracket's fast path: a subnormal gap, NaN levels, infinite values "
+     "and keys, unsorted keys, and supports 1e-10 apart"),
 )
 
 

@@ -75,17 +75,17 @@ class IncreasingReparam(_Frozen):
     @classmethod
     def translation(cls, a: float) -> "IncreasingReparam":
         """``g(x) = x - a``: the transformed measure's atoms move by ``+a``."""
-        return cls.affine(1.0, -float(a))
+        return cls.affine(1.0, -_real(a, "a"))
 
     @classmethod
     def dilation(cls, a: float) -> "IncreasingReparam":
         """``g(x) = x / a`` with ``a > 0``: atom locations scale by ``a``."""
-        return cls("dilation", a=float(a))
+        return cls("dilation", a=_real(a, "a"))
 
     @classmethod
     def affine(cls, a: float, b: float) -> "IncreasingReparam":
         """``g(x) = a x + b`` with ``a > 0``."""
-        return cls("affine", a=float(a), b=float(b))
+        return cls("affine", a=_real(a, "a"), b=_real(b, "b"))
 
     @classmethod
     def piecewise_linear(cls, xs: ArrayLike, ys: ArrayLike) -> "IncreasingReparam":

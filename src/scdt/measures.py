@@ -14,7 +14,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .errors import InvalidReferenceError, RangeError, SingularityError
-from .steps import ArrayLike, PiecewiseLinearMap, _Frozen, _geninv_search, _real, _whole
+from .steps import ArrayLike, PiecewiseLinearMap, _bracket, _Frozen, _geninv_search, _real, _whole
 
 __all__ = [
     "DiscreteMeasure",
@@ -204,6 +204,10 @@ class ReferenceMeasure(_Frozen):
     @classmethod
     def uniform(cls, a: float = 0.0, b: float = 1.0, mass: float = 1.0) -> "ReferenceMeasure":
         """The uniform measure of total ``mass`` on ``[a, b]``."""
+        try:
+            a, b, mass = _real(a, "a"), _real(b, "b"), _real(mass, "mass")
+        except ValueError as exc:
+            raise InvalidReferenceError(str(exc)) from exc
         if not (np.isfinite(a) and np.isfinite(b) and a < b):
             raise InvalidReferenceError("need finite a < b")
         if not (np.isfinite(mass) and mass > 0):
@@ -320,18 +324,18 @@ def _running_sum(w: np.ndarray) -> np.ndarray:
 
 
 def _support_gap(a: np.ndarray, b: np.ndarray) -> float:
-    """Smallest gap between entries of two strictly increasing arrays, from one
-    search of ``a`` in ``b``; a shared entry raises :class:`SingularityError`."""
+    """Smallest gap between entries of two strictly increasing arrays, from the bracket of
+    each ``a`` in ``b``, the last ``b <= a``; a shared entry raises :class:`SingularityError`."""
     if not a.size or not b.size:
         return np.inf
-    idx = np.searchsorted(b, a)
-    above = b.take(idx, mode="clip")  # b[-1] < a where idx == b.size
-    common = above == a
+    idx = _bracket(b, a)
+    below = b.take(idx, mode="clip")  # b[0] > a where idx == -1
+    common = below == a
     if np.any(common):
         raise SingularityError(f"positive and negative parts share {np.count_nonzero(common)} "
                                f"atom location(s), e.g. {a[common][0]}")
-    idx -= 1
-    below = b.take(idx, mode="clip")  # b[0] >= a where idx == -1
+    idx += 1
+    above = b.take(idx, mode="clip")  # b[-1] < a where idx == b.size
     # Unequal entries of which one is infinite, or whose gap overflows, are infinitely far apart.
     with np.errstate(over="ignore"):
         above -= a

@@ -88,6 +88,22 @@ class _Frozen:
         self._store(**state)
 
 
+def _bracket(values: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(values, y, "right") - 1`` for non-empty non-decreasing ``values``.
+    ``np.interp`` of the indices searches each key from the last key's bracket (O(1) for
+    sorted keys) and, where finite, adds a fraction in ``[0, 1 + 2 eps]``: one comparison
+    settles its floor.  Keys it leaves non-finite (a NaN key, a gap whose reciprocal
+    overflows, infinite values) are searched."""
+    r = np.asarray(np.interp(y, values, np.arange(values.size, dtype=float)))
+    with np.errstate(invalid="ignore"):  # a non-finite r casts to garbage, replaced below
+        j = r.astype(np.intp)
+    j -= values.take(j, mode="clip") > y
+    bad = ~np.isfinite(r)
+    if bad.any():
+        j[bad] = np.searchsorted(values, y[bad], side="right") - 1
+    return j
+
+
 def _geninv_search(values: np.ndarray, breakpoints: np.ndarray, y: ArrayLike) -> np.ndarray:
     """``inf{x : F(x) > y}`` for the non-decreasing step function taking
     ``values[0]`` left of ``breakpoints[0]`` and ``values[i]`` from
@@ -99,8 +115,7 @@ def _geninv_search(values: np.ndarray, breakpoints: np.ndarray, y: ArrayLike) ->
     :meth:`StepFunction.geninv_eval` and :func:`measure_quantiles`, which the
     batched grid transform replays for the rows its counts cannot settle.
     """
-    j = np.searchsorted(values, y, side="right")
-    j -= 1  # the breakpoint before the first value above y
+    j = _bracket(values, y)  # the breakpoint before the first value above y
     out = np.empty(np.shape(j))
     if breakpoints.size:
         breakpoints.take(j, mode="clip", out=out)

@@ -100,6 +100,20 @@ class TestIncreasingReparam:
         with pytest.raises(ValueError):
             IncreasingReparam.piecewise_linear([0.0, 1.0, 2.0], [0.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize("form, args, name", [
+        pytest.param("dilation", (True,), "a", id="dilation-bool"),
+        pytest.param("dilation", ("2",), "a", id="dilation-text"),
+        pytest.param("dilation", (np.array(2.0),), "a", id="dilation-0-d"),
+        pytest.param("translation", ("1",), "a", id="translation-text"),
+        pytest.param("translation", (True,), "a", id="translation-bool"),
+        pytest.param("affine", (True, "0"), "a", id="affine-bool-text"),
+        pytest.param("affine", (1.0, "0"), "b", id="affine-text-offset"),
+        pytest.param("affine", (1.0, True), "b", id="affine-bool-offset"),
+    ])
+    def test_constructors_refuse_what_is_not_a_number(self, form, args, name):
+        with pytest.raises(ValueError, match=f"^{name}: expected a number, got "):
+            getattr(IncreasingReparam, form)(*args)
+
     @given(
         st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
         st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), max_size=20),

@@ -308,6 +308,19 @@ class TestReferenceMeasure:
         with pytest.raises(InvalidReferenceError):
             ReferenceMeasure.uniform(0.0, 1.0, mass=0.0)
 
+    @pytest.mark.parametrize("args, name", [
+        pytest.param((True, 2.0), "a", id="a-bool"),
+        pytest.param(("0", 1.0), "a", id="a-text"),
+        pytest.param((np.array(0.0), 1.0), "a", id="a-0-d"),
+        pytest.param((0.0, True), "b", id="b-bool"),
+        pytest.param((0.0, "1"), "b", id="b-text"),
+        pytest.param((0.0, 1.0, True), "mass", id="mass-bool"),
+        pytest.param((0.0, 1.0, "1"), "mass", id="mass-text"),
+    ])
+    def test_uniform_refuses_what_is_not_a_number(self, args, name):
+        with pytest.raises(InvalidReferenceError, match=f"^{name}: expected a number, got "):
+            ReferenceMeasure.uniform(*args)
+
     @pytest.mark.parametrize("top", [1e-320, 1e308])
     def test_extreme_mass_quantiles_are_exact(self, top):
         # The quantile is the preimage of p * mass under the CDF map itself,
@@ -753,6 +766,20 @@ class TestMeasureQuantiles:
             for _ in range(2):
                 assert measure_quantiles(part, q).tobytes() == expected.tobytes()
                 assert "_csum" not in vars(part)
+
+    def test_large_sorted_searches_bisect_nothing(self, monkeypatch):
+        # 4e5 atoms at M = 2^17: each sorted level is bracketed from the one before,
+        # and the support gap of two 4e5-entry supports likewise; no key is bisected.
+        m = DiscreteMeasure(np.arange(400_000.0), np.random.default_rng(5).random(400_000) + 0.5)
+        q = (np.arange(2**17) + 0.5) / 2**17
+        want = quantiles_by_padded_search(m.locations, m.weights, q)
+        calls, search = [], np.searchsorted
+        monkeypatch.setattr(np, "searchsorted", lambda *a, **k: calls.append(1) or search(*a, **k))
+        got = measure_quantiles(m, q)
+        gap = _support_gap(m.locations, m.locations + 0.25)
+        monkeypatch.undo()
+        assert calls == []
+        assert got.tobytes() == want.tobytes() and gap == 0.25
 
     @given(discrete_measures(max_atoms=12))
     def test_non_decreasing_on_sorted_levels(self, m):

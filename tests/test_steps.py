@@ -3,15 +3,16 @@ checked against literal scan oracles and their own defining identities."""
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oracles import geninv_grid_scan, geninv_scan, preimage_by_branches, step_eval_scan
-from scdt.steps import NEG_INF, POS_INF, PiecewiseLinearMap, StepFunction, compose
+from scdt.steps import NEG_INF, POS_INF, PiecewiseLinearMap, StepFunction, _bracket, compose
 
 
 @st.composite
@@ -235,6 +236,46 @@ class TestGeninvEval:
                 assert g == cands[0]
             else:
                 assert g == s
+
+
+#: Values that stress the bracket: signed zeros, subnormals, the ends of float64 and +-inf.
+_EDGES = [0.0, -0.0, 5e-324, 1e-320, -1e-320, 1e-300, 1e308, -1e308, POS_INF, NEG_INF]
+
+
+@st.composite
+def brackets(draw):
+    """Non-empty non-decreasing values (duplicates, +-inf ends, subnormal gaps, spans
+    beyond float64) and keys, sorted or not: on a value, an ulp to either side of one,
+    any float, +-inf, NaN, and beyond both ends."""
+    entry = st.floats(allow_nan=False) | st.floats(-1e-300, 1e-300) | st.sampled_from(_EDGES)
+    values = np.sort(np.array(draw(st.lists(entry, min_size=1, max_size=12)), dtype=float))
+    values = np.repeat(values, draw(st.lists(st.integers(1, 3), min_size=values.size,
+                                             max_size=values.size)))
+    near = st.sampled_from(values.tolist()).flatmap(
+        lambda v: st.sampled_from([v, math.nextafter(v, NEG_INF), math.nextafter(v, POS_INF)]))
+    keys = np.array(draw(st.lists(near | entry | st.just(np.nan), max_size=30)), dtype=float)
+    return values, np.sort(keys) if draw(st.booleans()) else keys
+
+
+class TestBracket:
+    @pytest.mark.filterwarnings("error")
+    @given(case=brackets())
+    # 1 / 1e-320 overflows: interp gives inf.
+    @example(case=([0.0, 1e-320, 1e-320, 1.0], [5e-321, 1e-320, 0.5]))
+    # Infinite values: 0 * inf one way and the other (NaN), or the far value exactly.
+    @example(case=([NEG_INF, 0.0, 1.0, POS_INF], [NEG_INF, -1.0, 0.0, 0.5, 2.0, POS_INF, np.nan]))
+    @example(case=([NEG_INF, POS_INF], [0.0, NEG_INF, POS_INF]))
+    # A span beyond float64: slope 0 on the key's side.
+    @example(case=([-1e308, 1e308], [0.0, -1e308, 1e308, 1.7e308, -1.7e308]))
+    @example(case=([5.0], [np.nan, 4.0, 5.0, 6.0]))
+    @example(case=([-0.0, 0.0, 0.0, 1.0], [0.0, -0.0, np.nan, 0.5, np.nan, 1.0]))
+    def test_is_searchsorted_right_minus_one(self, case):
+        values, keys = (np.array(x, dtype=float) for x in case)
+        want = np.searchsorted(values, keys, side="right") - 1
+        got = _bracket(values, keys)
+        assert got.dtype == np.intp and np.array_equal(got, want)
+        for key, bracket in zip(keys[:3], want):  # a 0-d key
+            assert _bracket(values, np.asarray(key)) == bracket
 
 
 class TestGeninvClosedForm:
