@@ -730,6 +730,25 @@ def _refused(scdt, ctx):
     yield "cdt/mass-bool", ERRORS, lambda: _state(scdt.CdtResult(np.array([0.0, 1.0]), True))
     yield "pushforward/mass-text", ERRORS, lambda: _state(
         scdt.pushforward(np.array([0.0, 1.0]), "1"))
+    # Float inputs that are not real numbers, each refused by name since the one input rule.
+    reparam = scdt.IncreasingReparam
+    for key, mode, call in (
+        ("batch/text-rows", ERRORS, lambda: scdt.scdt_forward_batch([["1", "2"]], 0.0, 1.0, cfg)),
+        ("measure/bool-weights", ERRORS, lambda: _state(
+            scdt.DiscreteMeasure(np.array([0.0, 1.0]), np.array([True, True])))),
+        ("pushforward/bool-samples", ERRORS, lambda: _state(
+            scdt.pushforward(np.array([False, True]), 1.0))),
+        ("density/complex-samples", WARNINGS, lambda: _density(
+            scdt.GridDensity(0.0, 1.0, np.array([1.0 + 1.0j, 2.0])))),
+        ("measure/location-400-digit", ERRORS, lambda: _state(
+            scdt.DiscreteMeasure([10**400], [1.0]))),
+        ("reparam/direct/dilation-bool-slope", ERRORS, lambda: _state(reparam("dilation", a=True))),
+        ("reparam/direct/affine-text-offset", ERRORS, lambda: _state(
+            reparam("affine", a=1.0, b="0"))),
+        ("measure/scaled-text", ERRORS, lambda: _state(one.positive_part.scaled("2"))),
+        ("reparam/affine/forward-nan", ERRORS, lambda: reparam.affine(2.0, 1.0).forward(np.nan)),
+    ):
+        yield key, mode, call
 
 
 def _fallback(scdt, ctx):
@@ -786,8 +805,11 @@ GROUPS = (
      "predictions, rank, regularization and projection of fit_lda, and scatter out of range"),
     (("config/",), _configs,
      "configs the library refuses, and CLI sizes that no array can hold"),
-    (("grid/bool-bound/", "measure/from_atoms/", "lda/", "cdt/", "pushforward/"), _refused,
-     "a bool grid bound, a NaN weight, a bool or text lda_lambda and mass"),
+    (("grid/bool-bound/", "measure/", "lda/", "cdt/", "pushforward/", "batch/", "density/",
+      "reparam/direct/", "reparam/affine/"), _refused,
+     "a bool grid bound, a NaN weight, a bool or text lda_lambda and mass; text rows, bool and "
+     "complex arrays, a 400-digit location, a bool slope or text offset of a direct "
+     "IncreasingReparam, a text scale factor and a NaN point of an affine map"),
     (("quantiles/", "geninv/", "inverse/"), _fallback,
      "searches off the bracket's fast path: a subnormal gap, NaN levels, infinite values "
      "and keys, unsorted keys, and supports 1e-10 apart"),

@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .genmodel import GenConfig, LabeledSignals, _integer_labels, generate_dataset
-from .steps import _Frozen, _real
+from .steps import _as_float_array, _Frozen, _real
 from .transform import TransformConfig, scdt_forward_batch
 
 __all__ = [
@@ -46,12 +46,10 @@ class FeatureMatrix(_Frozen):
     feature_kind: str
 
     def __post_init__(self) -> None:
-        rows = np.asarray(self.rows, dtype=float)
+        rows = _as_float_array(self.rows, "feature vectors", finite=True)
         labels = _integer_labels(self.labels)
         if rows.ndim != 2 or labels.ndim != 1 or rows.shape[0] != labels.size:
             raise ValueError("rows must be (n_signals, n_features) with one label per row")
-        if not np.all(np.isfinite(rows)):
-            raise ValueError("feature vectors must be finite")
         if self.feature_kind not in FEATURE_KINDS:
             raise ValueError(f"feature_kind must be one of {FEATURE_KINDS}")
         self._store(rows=rows, labels=labels)
@@ -100,11 +98,11 @@ class LdaModel(_Frozen):
 
     def transform(self, rows: np.ndarray) -> np.ndarray:
         """The projections of ``rows``, an (n, p) array of feature vectors."""
-        rows, p = np.asarray(rows, dtype=float), self.projection.shape[0]
+        rows, p = _as_float_array(rows, "rows", finite=True), self.projection.shape[0]
         if rows.ndim != 2 or rows.shape[1] != p:
             raise ValueError(f"rows must be (n, {p}): one feature vector of length {p} each")
         proj = rows @ self.projection
-        if not np.all(np.isfinite(proj if proj.shape[1] else rows)):  # n x k; the rows if k = 0
+        if not np.all(np.isfinite(proj)):
             raise ValueError("rows must be finite and project to finite values")
         return proj
 
@@ -114,6 +112,14 @@ class LdaModel(_Frozen):
             proj[:, None, :] - self.class_means_projected[None, :, :], axis=2
         )
         return self.classes[np.argmin(dists, axis=1)]
+
+
+def _lda_lambda(value) -> float:
+    """The one check of ``lda_lambda``, a finite positive number, for ``fit_lda`` and ``cli``."""
+    lda_lambda = _real(value, "lda_lambda")
+    if not 0 < lda_lambda < np.inf:
+        raise ValueError(f"lda_lambda must be finite and positive, got {lda_lambda!r}")
+    return lda_lambda
 
 
 def _apply_q(h: np.ndarray, tau: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -137,9 +143,7 @@ def fit_lda(train: FeatureMatrix, lda_lambda: float = DEFAULT_LDA_LAMBDA) -> Lda
     factorization ``(X - mu)^T = Q R``.  Q is never formed: its reflectors are
     applied to the at most ``classes - 1`` discriminant directions only.
     """
-    lda_lambda = _real(lda_lambda, "lda_lambda")
-    if not 0 < lda_lambda < np.inf:
-        raise ValueError("lda_lambda must be finite and positive")
+    lda_lambda = _lda_lambda(lda_lambda)
     X, y = train.rows, train.labels
     classes, inverse = np.unique(y, return_inverse=True)
     if classes.size < 2:

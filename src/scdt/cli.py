@@ -17,12 +17,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 from typing import Dict, List, Optional, Union
 
-from .classify import DEFAULT_LDA_LAMBDA, run_experiment
+from .classify import DEFAULT_LDA_LAMBDA, _lda_lambda, run_experiment
 from .errors import (
     InvalidReferenceError, MetricDomainError, ParseError, RangeError, SingularityError,
 )
@@ -38,7 +37,7 @@ from .fileio import (
 from .genmodel import GenConfig, generate_dataset
 from .measures import ReferenceMeasure, measure_from_density, rebin
 from .metrics import d_s, d_w2, w2
-from .steps import _Frozen, _real
+from .steps import _Frozen
 from .transform import DEFAULT_N_QUANTILES, TransformConfig, scdt_forward, scdt_inverse
 
 __all__ = ["main", "read_experiment_config", "ExperimentConfig", "seed_override_from_env"]
@@ -72,10 +71,7 @@ class ExperimentConfig(_Frozen):
     lda_lambda: float = DEFAULT_LDA_LAMBDA
 
     def __post_init__(self) -> None:
-        lda_lambda = _real(self.lda_lambda, "lda_lambda")
-        if not 0 < lda_lambda < math.inf:
-            raise ValueError(f"lda_lambda must be finite and positive, got {lda_lambda!r}")
-        self._store(lda_lambda=lda_lambda)
+        self._store(lda_lambda=_lda_lambda(self.lda_lambda))
 
 
 #: In GenConfig's field order, the order in which it checks them, so the key an error

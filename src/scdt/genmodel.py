@@ -26,7 +26,8 @@ from .measures import (
     rebin,
 )
 from .errors import RangeError, ScdtError
-from .steps import ArrayLike, PiecewiseLinearMap, _Frozen, _along, _like, _real, _whole
+from .steps import (ArrayLike, PiecewiseLinearMap, _as_float_array, _Frozen, _along, _like,
+                    _real, _whole)
 from .transform import CdtResult, ScdtResult
 
 __all__ = [
@@ -62,15 +63,17 @@ class IncreasingReparam(_Frozen):
     def __post_init__(self) -> None:
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown reparameterization kind {self.kind!r}")
-        if self.kind in ("dilation", "affine") and not (np.isfinite(self.a) and self.a > 0):
+        a, b = _real(self.a, "a"), _real(self.b, "b")
+        if self.kind in ("dilation", "affine") and not 0 < a < np.inf:
             raise ValueError("slope must be finite and positive for a strictly increasing map")
-        if self.kind == "affine" and not np.isfinite(self.b):
+        if self.kind == "affine" and not np.isfinite(b):
             raise ValueError("offset must be finite")
         if self.kind == "piecewise_linear":
             if self.pwl is None or not np.all(self.pwl.slopes > 0):
                 raise ValueError(
                     "piecewise-linear reparameterizations must be strictly increasing"
                 )
+        self._store(a=a, b=b)
 
     @classmethod
     def translation(cls, a: float) -> "IncreasingReparam":
@@ -80,12 +83,12 @@ class IncreasingReparam(_Frozen):
     @classmethod
     def dilation(cls, a: float) -> "IncreasingReparam":
         """``g(x) = x / a`` with ``a > 0``: atom locations scale by ``a``."""
-        return cls("dilation", a=_real(a, "a"))
+        return cls("dilation", a=a)
 
     @classmethod
     def affine(cls, a: float, b: float) -> "IncreasingReparam":
         """``g(x) = a x + b`` with ``a > 0``."""
-        return cls("affine", a=_real(a, "a"), b=_real(b, "b"))
+        return cls("affine", a=a, b=b)
 
     @classmethod
     def piecewise_linear(cls, xs: ArrayLike, ys: ArrayLike) -> "IncreasingReparam":
@@ -96,13 +99,13 @@ class IncreasingReparam(_Frozen):
     def forward(self, x: ArrayLike) -> Union[float, np.ndarray]:
         if self.kind == "piecewise_linear":
             return self.pwl(x)
-        xa, dilation = np.asarray(x, dtype=float), self.kind == "dilation"
+        xa, dilation = _as_float_array(x, "x"), self.kind == "dilation"
         return _like(x, _along(-0.0 if dilation else self.b, 0.0, xa, self.a, divide=dilation))
 
     def inverse(self, y: ArrayLike) -> Union[float, np.ndarray]:
         if self.kind == "piecewise_linear":
             return self.pwl.preimage(y)
-        ya, dilation = np.asarray(y, dtype=float), self.kind == "dilation"
+        ya, dilation = _as_float_array(y, "y"), self.kind == "dilation"
         return _like(y, _along(-0.0, 0.0 if dilation else self.b, ya, self.a, divide=not dilation))
 
     __call__ = forward
@@ -127,7 +130,7 @@ def predict_transform_under_reparam(t: ScdtResult, g: IncreasingReparam) -> Scdt
     def move(part: CdtResult) -> CdtResult:
         if part.is_zero:
             return part
-        return CdtResult(np.asarray(g.inverse(part.samples), dtype=float), part.mass)
+        return CdtResult(g.inverse(part.samples), part.mass)
 
     return ScdtResult(move(t.plus), move(t.minus))
 
@@ -251,13 +254,13 @@ class LabeledSignals(_Frozen):
 
     def __post_init__(self) -> None:
         labels = _integer_labels(self.labels)
-        samples = np.asarray(self.samples, dtype=float)
+        samples = _as_float_array(self.samples, "density samples", finite=True)
         if samples.ndim != 2 or labels.ndim != 1 or labels.size != samples.shape[0]:
             raise ValueError("samples must be (n_signals, n_bins) with one label per row")
         if 0 in samples.shape:
             raise ValueError("samples must be (n_signals, n_bins) with at least one of each")
-        grid = GridDensity(self.t0, self.t1, samples.reshape(-1))  # its grid and sample checks
-        self._store(labels=labels, t0=grid.t0, t1=grid.t1, samples=samples)
+        t0, t1, _, _ = _grid(self.t0, self.t1, samples.shape[1])
+        self._store(labels=labels, t0=t0, t1=t1, samples=samples)
 
     def __len__(self) -> int:
         return self.labels.size

@@ -14,7 +14,8 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .errors import InvalidReferenceError, RangeError, SingularityError
-from .steps import ArrayLike, PiecewiseLinearMap, _bracket, _Frozen, _geninv_search, _real, _whole
+from .steps import (ArrayLike, PiecewiseLinearMap, _as_float_array, _bracket, _Frozen,
+                    _geninv_search, _real, _whole)
 
 __all__ = [
     "DiscreteMeasure",
@@ -49,15 +50,13 @@ class DiscreteMeasure(_Frozen):
     total_mass: Optional[float] = None
 
     def __post_init__(self) -> None:
-        locs = np.asarray(self.locations, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
+        locs = _as_float_array(self.locations, "locations")
+        w = _as_float_array(self.weights, "weights", finite=True)
         if locs.ndim != 1 or w.ndim != 1 or locs.size != w.size:
             raise ValueError("locations and weights must be 1-D arrays of equal length")
-        if np.any(np.isnan(locs)) or np.any(np.isnan(w)):
-            raise ValueError("atoms must not contain NaN")
         if not np.all(locs[1:] > locs[:-1]):
             raise ValueError("atom locations must be strictly increasing (merge duplicates first)")
-        if np.any(w <= 0) or np.any(~np.isfinite(w)):
+        if np.any(w <= 0):
             raise ValueError("atom weights must be finite and positive")
         total = _checked_total(self.total_mass, w)
         self._store(locations=locs, weights=w, total_mass=total)
@@ -66,11 +65,11 @@ class DiscreteMeasure(_Frozen):
     def from_atoms(cls, locations: ArrayLike, weights: ArrayLike) -> "DiscreteMeasure":
         """Build a measure from unsorted atoms: sorts, merges duplicate
         locations by summing weights, and drops zero-weight atoms."""
-        locs = np.asarray(locations, dtype=float)
-        w = np.asarray(weights, dtype=float)
+        locs = _as_float_array(locations, "locations")
+        w = _as_float_array(weights, "weights")
         if locs.shape != w.shape or locs.ndim != 1:
             raise ValueError("locations and weights must be 1-D arrays of equal length")
-        if not np.all(w >= 0):  # NaN too
+        if not np.all(w >= 0):
             raise ValueError("atom weights must be nonnegative")
         keep = w > 0
         locs, w = locs[keep], w[keep]
@@ -92,7 +91,8 @@ class DiscreteMeasure(_Frozen):
 
     def scaled(self, factor: float) -> "DiscreteMeasure":
         """The measure with every weight multiplied by ``factor > 0``."""
-        if factor <= 0 or not np.isfinite(factor):
+        factor = _real(factor, "factor")
+        if not 0 < factor < np.inf:
             raise ValueError("scale factor must be finite and positive")
         if self.is_zero:
             return DiscreteMeasure.zero()
@@ -134,12 +134,10 @@ class GridDensity(_Frozen):
     samples: np.ndarray
 
     def __post_init__(self) -> None:
-        samples = np.asarray(self.samples, dtype=float)
+        samples = _as_float_array(self.samples, "density samples", finite=True)
         t0, t1, _, _ = _grid(self.t0, self.t1, samples.size)
         if samples.ndim != 1:
             raise ValueError("samples must be a 1-D array with at least one bin")
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("density samples must be finite")
         self._store(t0=t0, t1=t1, samples=samples)
 
     @property
@@ -224,13 +222,13 @@ class ReferenceMeasure(_Frozen):
 
     def cdf_eval(self, x: ArrayLike) -> Union[float, np.ndarray]:
         """CDF value at ``x``: 0 left of the support, total mass right of it."""
-        return self._cdf(np.clip(x, self.xs[0], self.xs[-1]))
+        return self._cdf(np.clip(_as_float_array(x, "x"), self.xs[0], self.xs[-1]))
 
     def quantile(self, p: ArrayLike) -> Union[float, np.ndarray]:
         """Exact inverse of the normalized CDF at ``p`` in ``[0, 1]``: the
         preimage of ``p * total_mass`` under the CDF."""
-        pa = np.asarray(p, dtype=float)
-        if np.any(np.isnan(pa)) or np.any(pa < 0) or np.any(pa > 1):
+        pa = _as_float_array(p, "quantile levels")
+        if np.any(pa < 0) or np.any(pa > 1):
             raise ValueError("quantile levels must lie in [0, 1]")
         return self._cdf.preimage(pa * self.total_mass)
 
@@ -279,11 +277,9 @@ def pushforward(samples: ArrayLike, mass: float) -> DiscreteMeasure:
     """The empirical push-forward of the normalized reference through a
     non-decreasing quantile-sampled map: one atom of weight ``mass / M`` per
     sample, duplicates merged exactly.  ``mass = 0`` gives the zero measure."""
-    arr = np.asarray(samples, dtype=float)
+    arr = _as_float_array(samples, "samples")
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("samples must be a non-empty 1-D array")
-    if np.any(np.isnan(arr)):
-        raise ValueError("samples must not contain NaN")
     if np.any(arr[1:] < arr[:-1]):
         raise ValueError("samples must be non-decreasing")
     mass = _real(mass, "mass")
@@ -308,7 +304,7 @@ def _checked_total(total_mass: Optional[float], w: np.ndarray) -> float:
         # Pairwise summation errs by about log(n) * eps; a cumulative sum
         # by up to n * eps, beyond MASS_RTOL for 1e5 equal weights.
         computed = float(_running_sum(w)[-1] if total_mass is None else np.sum(w))
-    total = computed if total_mass is None else float(total_mass)
+    total = computed if total_mass is None else _real(total_mass, "total_mass")
     if not (np.isfinite(total) and np.isfinite(computed)):
         raise RangeError("the total mass of the atoms overflows float64")
     if abs(total - computed) > MASS_RTOL * max(abs(total), abs(computed), 1.0):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import MetricDomainError
 from .measures import DiscreteMeasure, SignedMeasure
-from .steps import _Frozen
+from .steps import _Frozen, _real
 from .transform import (
     DEFAULT_N_QUANTILES, PROBABILITY_RTOL, CdtResult, ScdtResult, TransformConfig, cdt_positive,
 )
@@ -34,7 +34,7 @@ class DistanceReport(_Frozen):
     components: Optional[Dict[str, float]] = None
 
     def __post_init__(self) -> None:
-        value = float(self.value)
+        value = _real(self.value, "value")
         if not (np.isfinite(value) and value >= 0):
             raise ValueError("distance value must be finite and nonnegative")
         if self.components is not None:

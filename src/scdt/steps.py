@@ -30,9 +30,17 @@ POS_INF: float = float("inf")
 ArrayLike = Union[float, int, np.ndarray]
 
 
-def _as_float_array(x: ArrayLike, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if np.any(np.isnan(arr)):
+def _as_float_array(x: ArrayLike, name: str, finite: bool = False) -> np.ndarray:
+    """``x`` as a float64 array (the same object if it is one), the one rule for float arrays:
+    real numbers only, not bools, text, objects or complex numbers, and no NaN (if ``finite``,
+    nothing non-finite); anything else raises :class:`ValueError` naming ``name``."""
+    arr = np.asarray(x)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{name}: expected an array of real numbers, got dtype {arr.dtype}")
+    arr = arr.astype(float, copy=False)
+    if finite and not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
+    if not finite and np.isnan(arr).any():
         raise ValueError(f"{name} must not contain NaN")
     return arr
 
@@ -152,7 +160,7 @@ class StepFunction(_Frozen):
     value_at_pos_inf: Optional[float] = None
 
     def __post_init__(self) -> None:
-        bp = _as_float_array(self.breakpoints, "breakpoints")
+        bp = _as_float_array(self.breakpoints, "breakpoints", finite=True)
         vals = _as_float_array(self.values, "values")
         if bp.ndim != 1 or vals.ndim != 1:
             raise ValueError("breakpoints and values must be one-dimensional")
@@ -160,11 +168,10 @@ class StepFunction(_Frozen):
             raise ValueError(
                 f"expected {bp.size + 1} values for {bp.size} breakpoints, got {vals.size}"
             )
-        if not np.all(np.isfinite(bp)):
-            raise ValueError("breakpoints must be finite")
         if not np.all(bp[1:] > bp[:-1]):
             raise ValueError("breakpoints must be strictly increasing")
-        vapi = float(vals[-1] if self.value_at_pos_inf is None else self.value_at_pos_inf)
+        vapi = _real(vals[-1] if self.value_at_pos_inf is None else self.value_at_pos_inf,
+                     "value_at_pos_inf")
         if np.isnan(vapi):
             raise ValueError("value_at_pos_inf must not be NaN")
         if not np.all(vals[1:] >= vals[:-1]):
@@ -216,14 +223,12 @@ class PiecewiseLinearMap(_Frozen):
     slopes: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        xs = _as_float_array(self.xs, "xs")
-        ys = _as_float_array(self.ys, "ys")
+        xs = _as_float_array(self.xs, "xs", finite=True)
+        ys = _as_float_array(self.ys, "ys", finite=True)
         if xs.ndim != 1 or ys.ndim != 1 or xs.size != ys.size:
             raise ValueError("xs and ys must be one-dimensional and of equal length")
         if xs.size < 2:
             raise ValueError("at least two knots are required")
-        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
-            raise ValueError("knots must be finite")
         with np.errstate(all="ignore"):
             dx, dy = xs[1:] - xs[:-1], ys[1:] - ys[:-1]
             slopes = dy / dx

@@ -29,7 +29,7 @@ from .measures import (
     measure_quantiles,
     pushforward,
 )
-from .steps import _Frozen, _real, _whole
+from .steps import _as_float_array, _Frozen, _real, _whole
 
 __all__ = [
     "TransformConfig",
@@ -93,11 +93,9 @@ class CdtResult(_Frozen):
     mass: float
 
     def __post_init__(self) -> None:
-        samples = np.asarray(self.samples, dtype=float)
+        samples = _as_float_array(self.samples, "samples")
         if samples.ndim != 1 or samples.size < 2:
             raise ValueError("samples must be a 1-D array with at least 2 entries")
-        if np.any(np.isnan(samples)):
-            raise ValueError("samples must not contain NaN")
         if np.any(samples[1:] < samples[:-1]):
             raise ValueError("samples must be non-decreasing")
         mass = _real(self.mass, "mass")
@@ -176,11 +174,9 @@ def scdt_forward_batch(
     :func:`scdt_forward`, which raise their own :class:`RangeError` for a
     row that cannot be binned.
     """
-    x = np.asarray(samples, dtype=float)
+    x = _as_float_array(samples, "density samples", finite=True)
     if x.ndim != 2:
         raise ValueError("samples must be a 2-D array (signals x bins) with at least one bin")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("density samples must be finite")
     n_signals, n_bins = x.shape
     t0, t1, _, width = _grid(t0, t1, n_bins)
     centers = _centres(t0, width, np.arange(n_bins))

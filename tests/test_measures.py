@@ -138,7 +138,7 @@ class TestDiscreteMeasure:
         # NaN is neither negative nor positive: it must not pass as a zero weight.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="^atom weights must be nonnegative$"):
+            with pytest.raises(ValueError, match="^weights must not contain NaN$"):
                 DiscreteMeasure.from_atoms(np.array([0.0, 1.0]), np.array([1.0, np.nan]))
 
     def test_scaled(self):
